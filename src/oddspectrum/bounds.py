@@ -14,21 +14,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import GirthViolationError, HypothesisError
+from .errors import GirthViolationError, HypothesisError, require_odd_k
 from .graph_core import Graph, encode_graph6, odd_girth
-from .odd_poly import (
-    FactoredOddPolynomial,
-    chebyshev_T,
-    high_lambda1_polynomial,
-    threshold_partition,
-)
-from .spectral import (
-    Spectrum,
-    _kahan_sum,
-    bipartiteness_measure,
-    eigenvalues,
-    trace_powers,
-)
+from .odd_poly import FactoredOddPolynomial, chebyshev_T, threshold_partition
+from .spectral import Spectrum, bipartiteness_measure, eigenvalues, trace_powers
 
 # Relative slop for "measure <= bound" style comparisons.
 COMPARISON_RTOL = 1e-12
@@ -49,23 +38,17 @@ CSV_HEADER = (
 )
 
 
-def _require_odd_k(k: int, minimum: int) -> None:
-    if k < minimum or k % 2 == 0:
-        raise ValueError(f"k must be an odd integer >= {minimum}, got {k}")
-
-
 def cycle_lower_bound(k: int) -> float:
     """(2/k)(1 - cos(pi/k)): the measure of the k-cycle, hence a lower bound
     on the supremum at odd girth k. Grows like pi^2 / k^3."""
-    _require_odd_k(k, 3)
+    require_odd_k(k, 3)
     return (2.0 / k) * (1.0 - math.cos(math.pi / k))
 
 
 def broad_spectrum_bound(k: int, lambda1: float, n: int) -> float:
     """(4/k^2) (lambda1/n) log^2(2n/lambda1), valid for odd k >= 100 when
     lambda1 >= n/k^3."""
-    if k < 100 or k % 2 == 0:
-        raise HypothesisError(f"requires an odd k >= 100, got {k}")
+    require_odd_k(k, 100, HypothesisError)
     if n < 1:
         raise HypothesisError(f"requires n >= 1, got {n}")
     if lambda1 < n / k**3:
@@ -77,8 +60,7 @@ def broad_spectrum_bound(k: int, lambda1: float, n: int) -> float:
 
 def high_lambda1_bound(k: int, lambda1: float, n: int) -> float:
     """4 * 2^(-k lambda1 / (16 n)), valid for odd k >= 100 when lambda1 >= 16n/k."""
-    if k < 100 or k % 2 == 0:
-        raise HypothesisError(f"requires an odd k >= 100, got {k}")
+    require_odd_k(k, 100, HypothesisError)
     if n < 1:
         raise HypothesisError(f"requires n >= 1, got {n}")
     if lambda1 < 16.0 * n / k:
@@ -90,8 +72,7 @@ def high_lambda1_bound(k: int, lambda1: float, n: int) -> float:
 
 def main_bound(k: int) -> float:
     """6400 k^-3 log^3 k: the unconditional upper bound for odd k >= 100."""
-    if k < 100 or k % 2 == 0:
-        raise ValueError(f"k must be an odd integer >= 100, got {k}")
+    require_odd_k(k, 100)
     return 6400.0 * k**-3 * math.log(k) ** 3
 
 
@@ -288,28 +269,28 @@ def _broad_spectrum_chains(s: Spectrum, k: int, n: int) -> list[ChainCheck]:
 
 
 def _certificate_trace_chain(s: Spectrum, k: int) -> ChainCheck:
-    """Residual of the certificate polynomial summed over the spectrum.
+    """Residual of the certificate polynomial (see high_lambda1_polynomial)
+    summed over the spectrum; inapplicable where that function raises.
 
     Evaluated on the spectrum normalized by lambda1, which divides the whole
     identity by lambda1^(k-2) and keeps every term within floating range for
     arbitrarily large k.
     """
-    try:
-        high_lambda1_polynomial(s, k)
-    except HypothesisError:
+    part = threshold_partition(s)
+    exponent = k - 4 * part.d_minus - 2
+    if exponent < 1:
         return _inapplicable(
             "sum of certificate polynomial over spectrum ~ 0 "
             "(inapplicable: spectrum outside the certificate regime)",
             relation="==",
         )
     lam1 = s.lambda1
-    part = threshold_partition(s)
     normalized = FactoredOddPolynomial(
-        exponent=k - 4 * part.d_minus - 2,
+        exponent=exponent,
         roots=tuple(abs(v) / lam1 for v in s.values[s.n - part.d_minus :]),
     )
     terms = [normalized.evaluate(v / lam1) for v in s.values]
-    residual = _kahan_sum(sorted(terms, key=abs, reverse=True))
+    residual = math.fsum(terms)
     scale = sum(abs(t) for t in terms)
     tol = TRACE_RESIDUAL_RTOL * max(1.0, scale)
     return ChainCheck(
@@ -332,7 +313,7 @@ def certify(g: Graph, k: int, graph_id: str | None = None) -> CertificateReport:
     the three-case classification and the proof-chain inequalities are
     evaluated, with inapplicable entries marked rather than extrapolated.
     """
-    _require_odd_k(k, 3)
+    require_odd_k(k, 3)
     if g.n < 1:
         raise ValueError("certification needs at least one vertex")
     girth = odd_girth(g)

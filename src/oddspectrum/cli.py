@@ -8,11 +8,11 @@ Exit codes: 0 success, 1 a verified check failed, 2 input error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from .bounds import (
@@ -30,6 +30,7 @@ from .errors import (
     GirthViolationError,
     InfeasibleError,
     UnsupportedSizeError,
+    require_odd_k,
 )
 from .gamma5prime import (
     check_relaxed_constraints,
@@ -56,9 +57,10 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _require_odd_k(k: int) -> None:
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k must be an odd integer >= 3, got {k}")
+def _print_csv(header, rows) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 # ----------------------------- analyze ------------------------------------
@@ -94,7 +96,7 @@ def _render_report_text(report: CertificateReport) -> str:
 
 def cmd_analyze(args) -> int:
     try:
-        _require_odd_k(args.k)
+        require_odd_k(args.k, 3)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
 
@@ -152,18 +154,6 @@ class ScanRow:
     tightest_bound_value: float | None
     min_slack: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "count": self.count,
-            "max_measure": self.max_measure,
-            "argmax_graph": self.argmax_graph,
-            "tightest_bound": self.tightest_bound,
-            "tightest_bound_value": self.tightest_bound_value,
-            "min_slack": self.min_slack,
-        }
-
 
 @dataclass(frozen=True)
 class ScanSummary:
@@ -174,111 +164,48 @@ class ScanSummary:
     malformed_lines: int
     violations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "scanned": self.scanned,
-            "qualifying": self.qualifying,
-            "skipped_girth": self.skipped_girth,
-            "malformed_lines": self.malformed_lines,
-            "violations": self.violations,
-        }
 
-
-def _scan_one(task: tuple[int, Graph], k: int):
-    index, g = task
-    if g.n == 0:
-        return index, None
-    try:
-        report = certify(g, k)
-    except GirthViolationError:
-        return index, None
-    tight = report.tightest_bound()
-    return index, (
-        g.n,
-        report.graph_id,
-        report.measure,
-        tight.name if tight else None,
-        tight.value if tight else None,
-        tight.slack if tight else None,
-        report.passed,
-    )
-
-
-def _chunked(items, size: int):
-    for i in range(0, len(items), size):
-        yield items[i : i + size]
-
-
-def scan_graphs(tasks: list[tuple[int, Graph]], k: int, jobs: int):
-    """Certify every task, preserving input order regardless of job count."""
-    if jobs <= 1 or len(tasks) < 2:
-        return [_scan_one(t, k) for t in tasks]
-    chunk_size = max(1, len(tasks) // (jobs * 8))
-    results: list = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for chunk_result in pool.map(
-            lambda chunk: [_scan_one(t, k) for t in chunk],
-            list(_chunked(tasks, chunk_size)),
-        ):
-            results.extend(chunk_result)
-    return results
-
-
-def build_scan_summary(
-    tasks: list[tuple[int, Graph]], k: int, jobs: int, malformed: int
-) -> ScanSummary:
-    results = scan_graphs(tasks, k, jobs)
-    per_n: dict[int, dict] = {}
-    qualifying = 0
-    violations = 0
-    for index, payload in results:
-        if payload is None:
+def scan_graphs(graphs: list[Graph], k: int) -> list[CertificateReport]:
+    """Certify, in input order, every graph with a vertex and odd girth >= k."""
+    reports = []
+    for g in graphs:
+        if g.n == 0:
             continue
-        qualifying += 1
-        n, graph_id, measure, bound_name, bound_value, slack, passed = payload
-        if not passed:
-            violations += 1
-        agg = per_n.setdefault(
-            n,
-            {
-                "count": 0,
-                "max_measure": None,
-                "argmax_graph": None,
-                "tight_name": None,
-                "tight_value": None,
-                "min_slack": None,
-            },
-        )
-        agg["count"] += 1
-        if agg["max_measure"] is None or measure > agg["max_measure"]:
-            agg["max_measure"] = measure
-            agg["argmax_graph"] = graph_id
-            agg["tight_name"] = bound_name
-            agg["tight_value"] = bound_value
-        if slack is not None and (agg["min_slack"] is None or slack < agg["min_slack"]):
-            agg["min_slack"] = slack
+        try:
+            reports.append(certify(g, k))
+        except GirthViolationError:
+            pass
+    return reports
 
-    rows = tuple(
-        ScanRow(
-            n=n,
-            k=k,
-            count=agg["count"],
-            max_measure=agg["max_measure"],
-            argmax_graph=agg["argmax_graph"],
-            tightest_bound=agg["tight_name"],
-            tightest_bound_value=agg["tight_value"],
-            min_slack=agg["min_slack"],
-        )
-        for n, agg in sorted(per_n.items())
+
+def _scan_row(n: int, k: int, reports: list[CertificateReport]) -> ScanRow:
+    best = max(reports, key=lambda r: r.measure)  # first of equal maxima
+    tight = best.tightest_bound()
+    slacks = [t.slack for t in (r.tightest_bound() for r in reports) if t is not None]
+    return ScanRow(
+        n=n,
+        k=k,
+        count=len(reports),
+        max_measure=best.measure,
+        argmax_graph=best.graph_id,
+        tightest_bound=tight.name if tight else None,
+        tightest_bound_value=tight.value if tight else None,
+        min_slack=min(slacks, default=None),
     )
+
+
+def build_scan_summary(graphs: list[Graph], k: int, malformed: int) -> ScanSummary:
+    reports = scan_graphs(graphs, k)
+    per_n: dict[int, list[CertificateReport]] = {}
+    for report in reports:
+        per_n.setdefault(report.n, []).append(report)
     return ScanSummary(
-        rows=rows,
-        scanned=len(tasks),
-        qualifying=qualifying,
-        skipped_girth=len(tasks) - qualifying,
+        rows=tuple(_scan_row(n, k, group) for n, group in sorted(per_n.items())),
+        scanned=len(graphs),
+        qualifying=len(reports),
+        skipped_girth=len(graphs) - len(reports),
         malformed_lines=malformed,
-        violations=violations,
+        violations=sum(not r.passed for r in reports),
     )
 
 
@@ -299,66 +226,40 @@ def _render_scan_text(summary: ScanSummary) -> str:
     return "\n".join(lines)
 
 
-def _render_scan_csv(summary: ScanSummary) -> str:
-    lines = [
-        "n,k,count,max_measure,argmax_graph,tightest_bound,"
-        "tightest_bound_value,min_slack"
-    ]
-    for row in summary.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    str(row.k),
-                    str(row.count),
-                    "" if row.max_measure is None else repr(row.max_measure),
-                    row.argmax_graph or "",
-                    row.tightest_bound or "",
-                    ""
-                    if row.tightest_bound_value is None
-                    else repr(row.tightest_bound_value),
-                    "" if row.min_slack is None else repr(row.min_slack),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_scan(args) -> int:
     try:
-        _require_odd_k(args.k)
+        require_odd_k(args.k, 3)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     if args.jobs < 1:
         return _fail(f"jobs must be at least 1, got {args.jobs}", EXIT_INPUT)
 
     malformed = 0
-    tasks: list[tuple[int, Graph]] = []
+    graphs: list[Graph] = []
     if args.enumerate is not None:
         try:
-            graphs = enumerate_labeled_graphs(args.enumerate)
-            tasks = list(enumerate(graphs))
+            graphs = list(enumerate_labeled_graphs(args.enumerate))
         except (UnsupportedSizeError, ValueError) as exc:
             return _fail(str(exc), EXIT_INPUT)
     else:
         path = Path(args.source)
         if not path.is_file():
             return _fail(f"no such file: {path}", EXIT_INPUT)
-        for lineno, item in read_graph6_lines(path.read_text().splitlines()):
+        for _, item in read_graph6_lines(path.read_text().splitlines()):
             if isinstance(item, Graph6ParseError):
                 malformed += 1
             else:
-                tasks.append((lineno, item))
+                graphs.append(item)
 
     try:
-        summary = build_scan_summary(tasks, args.k, args.jobs, malformed)
+        summary = build_scan_summary(graphs, args.k, malformed)
     except ConvergenceError as exc:
         return _fail(str(exc), EXIT_NUMERICAL)
 
     if args.format == "json":
-        print(json.dumps(summary.to_dict()))
+        print(json.dumps(asdict(summary)))
     elif args.format == "csv":
-        print(_render_scan_csv(summary), end="")
+        _print_csv([f.name for f in fields(ScanRow)], map(astuple, summary.rows))
     else:
         print(_render_scan_text(summary))
     return EXIT_OK if summary.violations == 0 else EXIT_CHECK_FAILED
@@ -369,7 +270,10 @@ def cmd_scan(args) -> int:
 
 def cmd_bounds(args) -> int:
     k_min, k_max = args.k_min, args.k_max
-    if k_min % 2 == 0 or k_max % 2 == 0 or k_min < 3:
+    try:
+        require_odd_k(k_min, 3)
+        require_odd_k(k_max, 3)
+    except ValueError:
         return _fail("k-min and k-max must be odd integers >= 3", EXIT_INPUT)
     if k_min > k_max:
         return _fail("k-min must not exceed k-max", EXIT_INPUT)
@@ -384,11 +288,7 @@ def cmd_bounds(args) -> int:
     if args.format == "json":
         print(json.dumps(rows))
     elif args.format == "csv":
-        print("k,cycle_lower_bound,main_bound,ratio")
-        for row in rows:
-            upper = "" if row["main_bound"] is None else repr(row["main_bound"])
-            ratio = "" if row["ratio"] is None else repr(row["ratio"])
-            print(f"{row['k']},{row['cycle_lower_bound']!r},{upper},{ratio}")
+        _print_csv(rows[0], (row.values() for row in rows))
     else:
         for row in rows:
             upper = "n/a" if row["main_bound"] is None else f"{row['main_bound']:.10g}"
@@ -470,7 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan all labeled graphs on N vertices instead of a file (N <= 8)",
     )
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility (must be >= 1); the scan runs in one thread",
+    )
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_scan)
 

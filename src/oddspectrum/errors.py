@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the odd-k check shared across the package."""
 
 
 class Graph6ParseError(ValueError):
@@ -32,3 +32,9 @@ class InfeasibleError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative numerical routine failed to converge."""
+
+
+def require_odd_k(k: int, minimum: int, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless k is an odd integer >= minimum."""
+    if k < minimum or k % 2 == 0:
+        raise error(f"k must be an odd integer >= {minimum}, got {k}")

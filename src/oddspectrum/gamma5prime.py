@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
-from .spectral import _kahan_sum
+from .errors import InfeasibleError, require_odd_k
+from .spectral import Spectrum
 
 # Where the scaled-by-n extremal construction concentrates: one positive head
 # entry, fourteen -1 tail entries, and a nonnegative middle block.
@@ -26,40 +26,8 @@ _TAIL_LENGTH = 14
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-@dataclass(frozen=True)
-class RelaxedSequence:
-    """Real numbers in non-increasing order; values are sorted on construction."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            vals = tuple(sorted(vals, reverse=True))
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def lambda1(self) -> float:
-        if not self.values:
-            raise ValueError("empty sequence has no largest entry")
-        return self.values[0]
-
-    @property
-    def lambda_n(self) -> float:
-        if not self.values:
-            raise ValueError("empty sequence has no smallest entry")
-        return self.values[-1]
-
-    @property
-    def measure(self) -> float:
-        if not self.values:
-            raise ValueError("measure undefined for an empty sequence")
-        return (self.values[0] + self.values[-1]) / len(self.values)
+# A relaxed sequence is the same sorted-tuple type as a graph spectrum.
+RelaxedSequence = Spectrum
 
 
 def f_of_s(s: float) -> float:
@@ -311,7 +279,7 @@ def n_epsilon(epsilon: float) -> float:
     return 15.0 + math.sqrt(c**3 / epsilon)
 
 
-def extremal_sequence(epsilon: float, n: int) -> RelaxedSequence:
+def extremal_sequence(epsilon: float, n: int) -> Spectrum:
     """The near-extremal sequence for the k = 5 constraint system.
 
     Before scaling: head entry (14 - eps)^(1/3), fourteen trailing -1
@@ -335,7 +303,7 @@ def extremal_sequence(epsilon: float, n: int) -> RelaxedSequence:
     middle = solve_simple(n - _TAIL_LENGTH - 1, 14.0 - head, epsilon)
     scale = n * head / (14.0 ** (2.0 / 3.0) + 14.0 + math.sqrt(14.0 * epsilon))
     raw = (head,) + middle + (-1.0,) * _TAIL_LENGTH
-    return RelaxedSequence(tuple(scale * x for x in raw))
+    return Spectrum(tuple(scale * x for x in raw))
 
 
 @dataclass(frozen=True)
@@ -363,15 +331,14 @@ class ConstraintCheck:
         return next((v for j, v in self.odd_sums if j == 3), None)
 
 
-def check_relaxed_constraints(seq, k: int) -> ConstraintCheck:
+def check_relaxed_constraints(seq: Spectrum, k: int) -> ConstraintCheck:
     """Evaluate the odd power sums (j <= k - 2) and the quadratic budget.
 
-    Accepts a RelaxedSequence or a Spectrum; anything exposing a sorted
-    values tuple works.
+    seq is a Spectrum: a relaxed sequence such as extremal_sequence()
+    returns, or the eigenvalues of a graph.
     """
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k must be an odd integer >= 3, got {k}")
-    values = tuple(seq.values)
+    require_odd_k(k, 3)
+    values = seq.values
     n = len(values)
     lam1 = values[0] if values else 0.0
 
@@ -379,13 +346,13 @@ def check_relaxed_constraints(seq, k: int) -> ConstraintCheck:
     satisfied = True
     base_tol = 1e-9 * n * max(1.0, lam1 * lam1)
     for j in range(1, k - 1, 2):
-        total = _kahan_sum(sorted((v**j for v in values), key=abs, reverse=True))
+        total = math.fsum(v**j for v in values)
         tol_j = base_tol if j <= 3 else 1e-9 * n * max(1.0, abs(lam1) ** j)
         if abs(total) > tol_j:
             satisfied = False
         odd_sums.append((j, total))
 
-    sum2 = _kahan_sum(sorted((v * v for v in values), reverse=True))
+    sum2 = math.fsum(v * v for v in values)
     n_lambda1 = n * lam1
     if sum2 > n_lambda1 + base_tol:
         satisfied = False

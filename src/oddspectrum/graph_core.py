@@ -68,12 +68,7 @@ class Graph:
         return tuple(len(a) for a in self.neighbors())
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set()
-
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
+        return 0 <= u < self.n and v in self.neighbors()[u]
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix as floats."""
@@ -249,10 +244,10 @@ def encode_graph6(g: Graph) -> str:
             f"graph6 single-byte header supports n <= {MAX_GRAPH6_VERTICES}, got {g.n}"
         )
     n = g.n
-    present = g._edge_set()
-    bits = [1 if (u, v) in present else 0 for u, v in _upper_triangle_pairs(n)]
-    while len(bits) % 6:
-        bits.append(0)
+    n_bits = n * (n - 1) // 2
+    bits = [0] * (n_bits + -n_bits % 6)
+    for u, v in g.edges:
+        bits[v * (v - 1) // 2 + u] = 1  # position of (u, v) in _upper_triangle_pairs
     out = [chr(n + 63)]
     for i in range(0, len(bits), 6):
         value = 0

@@ -7,8 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HypothesisError
-from .spectral import Spectrum, _kahan_sum
+from .errors import HypothesisError, require_odd_k
+from .spectral import Spectrum
 
 # Above this degree the expanded certificate coefficients blow up and cancel
 # catastrophically; the factored evaluator is used instead.
@@ -116,12 +116,11 @@ def chebyshev_T(j: int, x: float) -> float:
 
 
 def odd_poly_spectrum_sum(s: Spectrum, p) -> float:
-    """Sum of p over the spectrum, largest magnitudes first, compensated.
+    """Correctly rounded sum of p over the spectrum.
 
     Accepts anything with an evaluate(x) method (expanded or factored form).
     """
-    terms = sorted((p.evaluate(v) for v in s.values), key=abs, reverse=True)
-    return _kahan_sum(terms)
+    return math.fsum(p.evaluate(v) for v in s.values)
 
 
 @dataclass(frozen=True)
@@ -160,8 +159,7 @@ def high_lambda1_polynomial(s: Spectrum, k: int):
     Raises HypothesisError when k - 4*d_minus - 2 < 1, which happens exactly
     when the spectrum is outside the large-lambda1 regime.
     """
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k must be an odd integer >= 3, got {k}")
+    require_odd_k(k, 3)
     part = threshold_partition(s)
     exponent = k - 4 * part.d_minus - 2
     if exponent < 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, require_odd_k
 from .graph_core import Graph
 
 # Guaranteed absolute accuracy of each eigenvalue returned by eigenvalues().
@@ -24,7 +24,8 @@ JACOBI_MAX_SWEEPS = 100
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues in non-increasing order.
+    """Real numbers in non-increasing order: a graph's adjacency eigenvalues,
+    or a sequence of the k = 5 relaxation.
 
     Values are sorted on construction, so lambda1 is always the largest and
     lambda_n the smallest entry.
@@ -54,17 +55,12 @@ class Spectrum:
             raise ValueError("empty spectrum has no smallest eigenvalue")
         return self.values[-1]
 
-
-def _kahan_sum(terms) -> float:
-    """Compensated summation."""
-    total = 0.0
-    c = 0.0
-    for term in terms:
-        y = term - c
-        t = total + y
-        c = (t - total) - y
-        total = t
-    return total
+    @property
+    def measure(self) -> float:
+        """(lambda1 + lambda_n) / n; zero exactly for connected bipartite graphs."""
+        if not self.values:
+            raise ValueError("measure undefined for an empty spectrum")
+        return (self.lambda1 + self.lambda_n) / self.n
 
 
 def eigenvalues(g: Graph) -> Spectrum:
@@ -95,7 +91,9 @@ def jacobi_eigenvalues(g: Graph) -> Spectrum:
         return Spectrum(tuple(a.diagonal()))
     target = 1e-12 * n
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(max(0.0, float(np.sum(a * a) - np.sum(a.diagonal() ** 2))))
+        # Summed from the off-diagonal entries themselves: ||A||^2 - ||diag||^2
+        # cancels down to a rounding floor that sits above the target.
+        off = float(np.linalg.norm(a - np.diag(a.diagonal())))
         if off < target:
             break
         for p in range(n - 1):
@@ -164,11 +162,10 @@ def trace_power(g: Graph, j: int) -> int:
 
 
 def power_sum(s: Spectrum, j: int) -> float:
-    """Sum of j-th powers of the spectrum, largest magnitudes first, compensated."""
+    """Correctly rounded sum of j-th powers of the spectrum."""
     if j < 1:
         raise ValueError(f"power must be at least 1, got {j}")
-    terms = sorted((v**j for v in s.values), key=abs, reverse=True)
-    return _kahan_sum(terms)
+    return math.fsum(v**j for v in s.values)
 
 
 def check_trace_identities(g: Graph, k: int) -> bool:
@@ -177,17 +174,14 @@ def check_trace_identities(g: Graph, k: int) -> bool:
     Equivalent to the odd girth of g being at least k: an odd closed walk of
     length j exists exactly when some odd cycle of length <= j does.
     """
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k must be an odd integer >= 3, got {k}")
+    require_odd_k(k, 3)
     traces = trace_powers(g, k - 2)
     return all(traces[j - 1] == 0 for j in range(1, k - 1, 2))
 
 
 def bipartiteness_measure(s: Spectrum) -> float:
     """(lambda1 + lambda_n) / n; zero exactly for connected bipartite graphs."""
-    if s.n < 1:
-        raise ValueError("measure undefined for an empty spectrum")
-    return (s.lambda1 + s.lambda_n) / s.n
+    return s.measure
 
 
 def signless_laplacian_min_eig(g: Graph) -> float:

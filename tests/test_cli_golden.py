@@ -1,0 +1,70 @@
+"""Golden CLI outputs: stdout bytes and exit code for a fixed command set.
+
+The files under tests/golden/ were captured from the commit before the
+one-sequence-type / fsum / single-threaded-scan refactor, which had to keep
+every byte. They were taken on x86-64 Linux with Python 3.11.7, numpy 2.4.6
+and its bundled OpenBLAS 0.3.31. If a numpy or BLAS change moves the last
+digits, regenerate them from that parent commit, never from the change
+under test: copy this file and tests/golden/mixed.g6 into a checkout of the
+parent and run
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+which rewrites tests/golden/ next to it.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from oddspectrum.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MIXED = str(GOLDEN / "mixed.g6")  # C5, C7 and K2,4: three lines, three n
+
+COMMANDS = {
+    "gamma5_six_eps": ["gamma5", "--eps", "0.1,0.01,0.001,1e-4,1e-5,1e-6"],
+    "bounds_text": ["bounds", "--k-min", "3", "--k-max", "301"],
+    "bounds_csv": ["bounds", "--k-min", "3", "--k-max", "301", "--format", "csv"],
+    "bounds_json": ["bounds", "--k-min", "3", "--k-max", "301", "--format", "json"],
+    "analyze_c5_text": ["analyze", "Dhc", "--k", "5"],
+    "analyze_petersen_json": ["analyze", "IheA@GUAo", "--k", "5", "--format", "json"],
+    # Random bipartite graph on 12 vertices; the JSON carries the certificate
+    # polynomial residual (~1e-30) with full repr precision.
+    "analyze_bipartite_k101_json": ["analyze", "K??FSxg|AWY_", "--k", "101", "--format", "json"],
+    **{
+        f"scan_enum5_k{k}_{fmt}": ["scan", "--enumerate", "5", "--k", str(k), "--format", fmt]
+        for k in (3, 5)
+        for fmt in ("text", "csv", "json")
+    },
+    "scan_mixed_jobs4_csv": ["scan", MIXED, "--k", "5", "--jobs", "4", "--format", "csv"],
+}
+
+
+def run(argv) -> tuple[int, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue().encode()
+
+
+def exit_codes() -> dict:
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden(name):
+    code, stdout = run(COMMANDS[name])
+    assert code == exit_codes()[name]
+    assert stdout == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    codes = {}
+    for name, argv in sorted(COMMANDS.items()):
+        codes[name], stdout = run(argv)
+        (GOLDEN / f"{name}.out").write_bytes(stdout)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")

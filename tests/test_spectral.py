@@ -194,3 +194,13 @@ def test_blow_up_scales_spectrum():
             assert abs(
                 bipartiteness_measure(big) - bipartiteness_measure(base)
             ) < 1e-8
+
+
+def test_jacobi_converges_on_odd_cycles():
+    # Cycles on which an off-diagonal norm taken as ||A||^2 - ||diag||^2
+    # stalls at a rounding floor above the Jacobi stopping target.
+    for k in (19, 31, 55, 101):
+        g = cycle_graph(k)
+        direct = eigenvalues(g).values
+        jacobi = jacobi_eigenvalues(g).values
+        assert max(abs(a - b) for a, b in zip(direct, jacobi)) < 1e-9
