@@ -12,11 +12,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import GirthViolationError, HypothesisError, require_odd_k
 from .graph_core import Graph, encode_graph6, odd_girth
-from .odd_poly import FactoredOddPolynomial, chebyshev_T, threshold_partition
+from .odd_poly import chebyshev_T, high_lambda1_polynomial
 from .spectral import Spectrum, bipartiteness_measure, eigenvalues, trace_powers
 
 # Relative slop for "measure <= bound" style comparisons.
@@ -36,6 +36,11 @@ CSV_HEADER = (
     "tightest_bound_value",
     "slack",
 )
+
+
+def girth_field(girth: float) -> str | int:
+    """An odd girth as reported: "inf" for a bipartite graph, else an int."""
+    return "inf" if math.isinf(girth) else int(girth)
 
 
 def cycle_lower_bound(k: int) -> float:
@@ -142,38 +147,10 @@ class CertificateReport:
         return min(self.bounds, key=lambda b: b.value)
 
     def to_dict(self) -> dict:
-        girth = self.odd_girth
-        return {
-            "graph": self.graph_id,
-            "n": self.n,
-            "odd_girth": "inf" if math.isinf(girth) else int(girth),
-            "k": self.k,
-            "lambda1": self.lambda1,
-            "lambda_n": self.lambda_n,
-            "measure": self.measure,
-            "case": self.case,
-            "trivial": self.trivial,
-            "bounds": [
-                {
-                    "name": b.name,
-                    "value": b.value,
-                    "satisfied": b.satisfied,
-                    "slack": b.slack,
-                }
-                for b in self.bounds
-            ],
-            "chain_checks": [
-                {
-                    "description": c.description,
-                    "left": c.left,
-                    "relation": c.relation,
-                    "right": c.right,
-                    "satisfied": c.satisfied,
-                }
-                for c in self.chain_checks
-            ],
-            "passed": self.passed,
-        }
+        """The fields in declaration order, graph_id as "graph", plus passed."""
+        fields = asdict(self)
+        fields["odd_girth"] = girth_field(self.odd_girth)
+        return {"graph": fields.pop("graph_id"), **fields, "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -183,7 +160,7 @@ class CertificateReport:
         return (
             self.graph_id,
             self.n,
-            "inf" if math.isinf(self.odd_girth) else int(self.odd_girth),
+            girth_field(self.odd_girth),
             repr(self.lambda1),
             repr(self.lambda_n),
             repr(self.measure),
@@ -219,8 +196,7 @@ def _inapplicable(description: str, relation: str = "<=") -> ChainCheck:
 
 
 def _odd_trace_chain(g: Graph, k: int) -> ChainCheck:
-    traces = trace_powers(g, k - 2) if k >= 3 and g.n > 0 else []
-    worst = max((abs(traces[j - 1]) for j in range(1, k - 1, 2)), default=0)
+    worst = max(abs(t) for t in trace_powers(g, k - 2)[::2])
     return ChainCheck(
         description=f"max |Tr(A^j)| over odd j <= {k - 2} (exact integers)",
         left=float(worst),
@@ -276,20 +252,16 @@ def _certificate_trace_chain(s: Spectrum, k: int) -> ChainCheck:
     identity by lambda1^(k-2) and keeps every term within floating range for
     arbitrarily large k.
     """
-    part = threshold_partition(s)
-    exponent = k - 4 * part.d_minus - 2
-    if exponent < 1:
+    normalized = Spectrum(tuple(v / s.lambda1 for v in s.values))
+    try:
+        poly = high_lambda1_polynomial(normalized, k)
+    except HypothesisError:
         return _inapplicable(
             "sum of certificate polynomial over spectrum ~ 0 "
             "(inapplicable: spectrum outside the certificate regime)",
             relation="==",
         )
-    lam1 = s.lambda1
-    normalized = FactoredOddPolynomial(
-        exponent=exponent,
-        roots=tuple(abs(v) / lam1 for v in s.values[s.n - part.d_minus :]),
-    )
-    terms = [normalized.evaluate(v / lam1) for v in s.values]
+    terms = [poly.evaluate(v) for v in normalized.values]
     residual = math.fsum(terms)
     scale = sum(abs(t) for t in terms)
     tol = TRACE_RESIDUAL_RTOL * max(1.0, scale)

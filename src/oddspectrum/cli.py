@@ -2,7 +2,8 @@
 and the k = 5 relaxation experiment.
 
 Exit codes: 0 success, 1 a verified check failed, 2 input error,
-3 precondition or girth violation, 4 internal numerical failure.
+3 precondition or girth violation, 4 internal numerical failure. Commands
+raise; main alone turns a ValueError or ConvergenceError into code 2, 3 or 4.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .bounds import (
     csikvari_bound,
     cycle_lower_bound,
     gamma5_prime_value,
+    girth_field,
     main_bound,
     reports_to_csv,
 )
@@ -28,8 +30,8 @@ from .errors import (
     ConvergenceError,
     Graph6ParseError,
     GirthViolationError,
+    HypothesisError,
     InfeasibleError,
-    UnsupportedSizeError,
     require_odd_k,
 )
 from .gamma5prime import (
@@ -57,6 +59,15 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _exit_code(exc: Exception) -> int:
+    """The one mapping from an expected error to an exit code."""
+    if isinstance(exc, (GirthViolationError, InfeasibleError, HypothesisError)):
+        return EXIT_PRECONDITION
+    if isinstance(exc, ConvergenceError):
+        return EXIT_NUMERICAL
+    return EXIT_INPUT  # any other ValueError, Graph6ParseError included
+
+
 def _print_csv(header, rows) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
@@ -69,7 +80,7 @@ def _print_csv(header, rows) -> None:
 def _render_report_text(report: CertificateReport) -> str:
     lines = [
         f"graph {report.graph_id}  n={report.n}  "
-        f"odd_girth={'inf' if math.isinf(report.odd_girth) else int(report.odd_girth)}  "
+        f"odd_girth={girth_field(report.odd_girth)}  "
         f"k={report.k}",
         f"  lambda1={report.lambda1:.10g}  lambda_n={report.lambda_n:.10g}  "
         f"measure={report.measure:.10g}",
@@ -95,36 +106,20 @@ def _render_report_text(report: CertificateReport) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        require_odd_k(args.k, 3)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-
+    require_odd_k(args.k, 3)
     path = Path(args.source)
-    try:
-        if path.is_file():
-            graphs = []
-            for lineno, item in read_graph6_lines(
-                path.read_text().splitlines()
-            ):
-                if isinstance(item, Graph6ParseError):
-                    return _fail(f"line {lineno}: {item}", EXIT_INPUT)
-                graphs.append(item)
-            if not graphs:
-                return _fail(f"no graphs in {path}", EXIT_INPUT)
-        else:
-            graphs = [parse_graph6(args.source)]
-    except Graph6ParseError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    if path.is_file():
+        graphs = []
+        for lineno, item in read_graph6_lines(path.read_text().splitlines()):
+            if isinstance(item, Graph6ParseError):
+                raise ValueError(f"line {lineno}: {item}")
+            graphs.append(item)
+        if not graphs:
+            raise ValueError(f"no graphs in {path}")
+    else:
+        graphs = [parse_graph6(args.source)]
 
-    reports = []
-    try:
-        for g in graphs:
-            reports.append(certify(g, args.k))
-    except GirthViolationError as exc:
-        return _fail(str(exc), EXIT_PRECONDITION)
-    except ConvergenceError as exc:
-        return _fail(str(exc), EXIT_NUMERICAL)
+    reports = [certify(g, args.k) for g in graphs]
 
     if args.format == "json":
         for report in reports:
@@ -227,34 +222,27 @@ def _render_scan_text(summary: ScanSummary) -> str:
 
 
 def cmd_scan(args) -> int:
-    try:
-        require_odd_k(args.k, 3)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    if (args.source is None) == (args.enumerate is None):
+        raise ValueError("scan needs exactly one of a file path or --enumerate N")
+    require_odd_k(args.k, 3)
     if args.jobs < 1:
-        return _fail(f"jobs must be at least 1, got {args.jobs}", EXIT_INPUT)
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
 
     malformed = 0
     graphs: list[Graph] = []
     if args.enumerate is not None:
-        try:
-            graphs = list(enumerate_labeled_graphs(args.enumerate))
-        except (UnsupportedSizeError, ValueError) as exc:
-            return _fail(str(exc), EXIT_INPUT)
+        graphs = list(enumerate_labeled_graphs(args.enumerate))
     else:
         path = Path(args.source)
         if not path.is_file():
-            return _fail(f"no such file: {path}", EXIT_INPUT)
+            raise ValueError(f"no such file: {path}")
         for _, item in read_graph6_lines(path.read_text().splitlines()):
             if isinstance(item, Graph6ParseError):
                 malformed += 1
             else:
                 graphs.append(item)
 
-    try:
-        summary = build_scan_summary(graphs, args.k, malformed)
-    except ConvergenceError as exc:
-        return _fail(str(exc), EXIT_NUMERICAL)
+    summary = build_scan_summary(graphs, args.k, malformed)
 
     if args.format == "json":
         print(json.dumps(asdict(summary)))
@@ -270,13 +258,10 @@ def cmd_scan(args) -> int:
 
 def cmd_bounds(args) -> int:
     k_min, k_max = args.k_min, args.k_max
-    try:
-        require_odd_k(k_min, 3)
-        require_odd_k(k_max, 3)
-    except ValueError:
-        return _fail("k-min and k-max must be odd integers >= 3", EXIT_INPUT)
+    require_odd_k(k_min, 3)
+    require_odd_k(k_max, 3)
     if k_min > k_max:
-        return _fail("k-min must not exceed k-max", EXIT_INPUT)
+        raise ValueError("k-min must not exceed k-max")
 
     rows = []
     for k in range(k_min, k_max + 1, 2):
@@ -304,16 +289,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gamma5(args) -> int:
-    try:
-        epsilons = [float(x) for x in args.eps.split(",") if x.strip()]
-    except ValueError:
-        return _fail(f"could not parse epsilon list {args.eps!r}", EXIT_INPUT)
-    if not epsilons or any(not 0 < e < 1 for e in epsilons):
-        return _fail("every epsilon must lie in (0, 1)", EXIT_INPUT)
-    if args.s_max < 15:
-        return _fail(f"s-max must be at least 15, got {args.s_max}", EXIT_INPUT)
-    if args.samples < 100:
-        return _fail(f"samples must be at least 100, got {args.samples}", EXIT_INPUT)
+    epsilons = [float(x) for x in args.eps.split(",") if x.strip()]
+    if not epsilons:
+        raise ValueError(f"no epsilon in {args.eps!r}")
+    # Sized before anything is printed, so a bad epsilon leaves stdout empty.
+    sizes = [math.ceil(n_epsilon(eps)) for eps in epsilons]
 
     s_star, upper = maximize_objective(args.s_max, args.samples)
     exact = gamma5_prime_value()
@@ -324,12 +304,8 @@ def cmd_gamma5(args) -> int:
     print(f"csikvari bound   = {csikvari_bound():.15g}")
     print(f"improvement      = {csikvari_bound() - exact:.6g}")
     print()
-    for eps in epsilons:
-        n = math.ceil(n_epsilon(eps))
-        try:
-            seq = extremal_sequence(eps, n)
-        except InfeasibleError as exc:
-            return _fail(str(exc), EXIT_PRECONDITION)
+    for eps, n in zip(epsilons, sizes):
+        seq = extremal_sequence(eps, n)
         check = check_relaxed_constraints(seq, 5)
         print(f"epsilon = {eps:g}  (n = {n})")
         print(f"  measure     = {seq.measure:.15g}")
@@ -395,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "scan" and (args.source is None) == (args.enumerate is None):
-        return _fail("scan needs exactly one of a file path or --enumerate N", EXIT_INPUT)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, ConvergenceError) as exc:
+        return _fail(str(exc), _exit_code(exc))
 
 
 def entrypoint() -> None:

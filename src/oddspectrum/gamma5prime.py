@@ -74,8 +74,8 @@ def maximize_objective(
     best sample is refined by golden-section search inside its interval to
     1e-10 in s, and every integer point competes as an explicit candidate.
     """
-    if s_max < 15:
-        raise ValueError(f"s_max must be at least 15, got {s_max}")
+    if not (math.isfinite(s_max) and s_max >= 15):
+        raise ValueError(f"s_max must be finite and at least 15, got {s_max}")
     if per_interval_samples < 100:
         raise ValueError(
             f"need at least 100 samples per interval, got {per_interval_samples}"

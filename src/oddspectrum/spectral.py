@@ -63,6 +63,15 @@ class Spectrum:
         return (self.lambda1 + self.lambda_n) / self.n
 
 
+def _eigvalsh(g: Graph, matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix built from g; LAPACK
+    failure becomes ConvergenceError."""
+    try:
+        return np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed on {g!r}: {exc}") from exc
+
+
 def eigenvalues(g: Graph) -> Spectrum:
     """All n adjacency eigenvalues, sorted descending, accurate to 1e-9.
 
@@ -71,10 +80,7 @@ def eigenvalues(g: Graph) -> Spectrum:
     """
     if g.n == 0:
         return Spectrum(())
-    try:
-        vals = np.linalg.eigvalsh(g.adjacency_matrix())
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed on {g!r}: {exc}") from exc
+    vals = _eigvalsh(g, g.adjacency_matrix())
     return Spectrum(tuple(float(v) for v in vals[::-1]))
 
 
@@ -190,8 +196,4 @@ def signless_laplacian_min_eig(g: Graph) -> float:
         raise ValueError("signless Laplacian undefined for the empty vertex set")
     matrix = g.adjacency_matrix()
     matrix[np.diag_indices(g.n)] = g.degrees()
-    try:
-        vals = np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed on {g!r}: {exc}") from exc
-    return float(vals[0])
+    return float(_eigvalsh(g, matrix)[0])

@@ -39,20 +39,30 @@ def test_analyze_csv(capsys):
 
 
 def test_analyze_girth_violation_exits_3(capsys):
-    code, _, err = run_cli(capsys, "analyze", "Bw", "--k", "5")
+    code, out, err = run_cli(capsys, "analyze", "Bw", "--k", "5")
     assert code == 3
+    assert out == ""
     assert "odd girth 3" in err
 
 
 def test_analyze_parse_error_exits_2(capsys):
-    code, _, err = run_cli(capsys, "analyze", "~~~~", "--k", "5")
+    code, out, err = run_cli(capsys, "analyze", "~~~~", "--k", "5")
     assert code == 2
+    assert out == ""
     assert "byte offset" in err
 
 
 def test_analyze_even_k_exits_2(capsys):
-    code, _, _ = run_cli(capsys, "analyze", "Dhc", "--k", "4")
+    code, out, _ = run_cli(capsys, "analyze", "Dhc", "--k", "4")
     assert code == 2
+    assert out == ""
+
+
+def test_analyze_graph_without_vertices_exits_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "?", "--k", "5")
+    assert code == 2
+    assert out == ""
+    assert "at least one vertex" in err
 
 
 def test_analyze_file(tmp_path, capsys):
@@ -66,8 +76,9 @@ def test_analyze_file(tmp_path, capsys):
 def test_analyze_file_with_violating_graph_exits_3(tmp_path, capsys):
     corpus = tmp_path / "graphs.g6"
     corpus.write_text("Dhc\nBw\n")  # second line is a triangle
-    code, _, err = run_cli(capsys, "analyze", str(corpus), "--k", "5")
+    code, out, err = run_cli(capsys, "analyze", str(corpus), "--k", "5")
     assert code == 3
+    assert out == ""
     assert "odd girth 3" in err
 
 
@@ -133,15 +144,25 @@ def test_scan_bipartite_only_file(tmp_path, capsys):
 
 
 def test_scan_needs_exactly_one_source(capsys):
-    code, _, _ = run_cli(capsys, "scan", "--k", "5")
+    code, out, _ = run_cli(capsys, "scan", "--k", "5")
     assert code == 2
-    code, _, _ = run_cli(capsys, "scan", "file.g6", "--enumerate", "4", "--k", "5")
+    assert out == ""
+    code, out, _ = run_cli(capsys, "scan", "file.g6", "--enumerate", "4", "--k", "5")
     assert code == 2
+    assert out == ""
+
+
+def test_scan_jobs_must_be_positive(capsys):
+    code, out, err = run_cli(capsys, "scan", "--enumerate", "4", "--k", "5", "--jobs", "0")
+    assert code == 2
+    assert out == ""
+    assert "jobs" in err
 
 
 def test_scan_enumerate_limit(capsys):
-    code, _, err = run_cli(capsys, "scan", "--enumerate", "9", "--k", "5")
+    code, out, err = run_cli(capsys, "scan", "--enumerate", "9", "--k", "5")
     assert code == 2
+    assert out == ""
     assert "enumeration" in err
 
 
@@ -164,8 +185,10 @@ def test_bounds_includes_ratio_at_101(capsys):
 
 
 def test_bounds_validation(capsys):
-    assert run_cli(capsys, "bounds", "--k-min", "4", "--k-max", "9")[0] == 2
-    assert run_cli(capsys, "bounds", "--k-min", "9", "--k-max", "5")[0] == 2
+    for argv in (("--k-min", "4", "--k-max", "9"), ("--k-min", "9", "--k-max", "5")):
+        code, out, _ = run_cli(capsys, "bounds", *argv)
+        assert code == 2
+        assert out == ""
 
 
 def test_gamma5_report(capsys):
@@ -177,6 +200,14 @@ def test_gamma5_report(capsys):
 
 
 def test_gamma5_validation(capsys):
-    assert run_cli(capsys, "gamma5", "--eps", "1.5")[0] == 2
-    assert run_cli(capsys, "gamma5", "--eps", "abc")[0] == 2
-    assert run_cli(capsys, "gamma5", "--s-max", "3")[0] == 2
+    for argv in (
+        ("--eps", "1.5"),
+        ("--eps", "abc"),
+        ("--s-max", "3"),
+        ("--eps", ","),
+        ("--samples", "50"),
+        ("--s-max", "nan"),
+    ):
+        code, out, _ = run_cli(capsys, "gamma5", *argv)
+        assert code == 2
+        assert out == ""

@@ -79,6 +79,9 @@ def test_maximize_objective_validation():
         maximize_objective(10.0, 1000)
     with pytest.raises(ValueError):
         maximize_objective(100.0, 50)
+    for s_max in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            maximize_objective(s_max, 1000)
 
 
 def test_power_sum_closed_form():
