@@ -66,7 +66,6 @@ from .spectral import (
     bipartiteness_measure,
     check_trace_identities,
     eigenvalues,
-    jacobi_eigenvalues,
     power_sum,
     signless_laplacian_min_eig,
     trace_power,

@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import GirthViolationError, HypothesisError, require_odd_k
-from .graph_core import Graph, encode_graph6, odd_girth
+from .graph_core import MAX_GRAPH6_VERTICES, Graph, encode_graph6, odd_girth
 from .odd_poly import chebyshev_T, high_lambda1_polynomial
 from .spectral import Spectrum, bipartiteness_measure, eigenvalues, trace_powers
 
@@ -275,7 +275,7 @@ def _certificate_trace_chain(s: Spectrum, k: int) -> ChainCheck:
     )
 
 
-def certify(g: Graph, k: int, graph_id: str | None = None) -> CertificateReport:
+def certify(g: Graph, k: int) -> CertificateReport:
     """Verify every applicable bound and proof-chain inequality for one graph.
 
     Requires odd_girth(g) >= k; raises GirthViolationError (carrying the
@@ -292,8 +292,7 @@ def certify(g: Graph, k: int, graph_id: str | None = None) -> CertificateReport:
     if girth < k:
         raise GirthViolationError(girth, k)
 
-    if graph_id is None:
-        graph_id = encode_graph6(g) if g.n <= 62 else f"<n={g.n},m={g.m}>"
+    graph_id = encode_graph6(g) if g.n <= MAX_GRAPH6_VERTICES else f"<n={g.n},m={g.m}>"
 
     s = eigenvalues(g)
     n = g.n

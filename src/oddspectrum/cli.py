@@ -161,11 +161,10 @@ class ScanSummary:
 
 
 def scan_graphs(graphs: list[Graph], k: int) -> list[CertificateReport]:
-    """Certify, in input order, every graph with a vertex and odd girth >= k."""
+    """Certify, in input order, every graph with odd girth >= k; a graph
+    without vertices raises ValueError."""
     reports = []
     for g in graphs:
-        if g.n == 0:
-            continue
         try:
             reports.append(certify(g, k))
         except GirthViolationError:
@@ -292,8 +291,8 @@ def cmd_gamma5(args) -> int:
     epsilons = [float(x) for x in args.eps.split(",") if x.strip()]
     if not epsilons:
         raise ValueError(f"no epsilon in {args.eps!r}")
-    # Sized before anything is printed, so a bad epsilon leaves stdout empty.
-    sizes = [math.ceil(n_epsilon(eps)) for eps in epsilons]
+    # Built before anything is printed, so a bad epsilon leaves stdout empty.
+    sequences = [extremal_sequence(eps, math.ceil(n_epsilon(eps))) for eps in epsilons]
 
     s_star, upper = maximize_objective(args.s_max, args.samples)
     exact = gamma5_prime_value()
@@ -304,10 +303,9 @@ def cmd_gamma5(args) -> int:
     print(f"csikvari bound   = {csikvari_bound():.15g}")
     print(f"improvement      = {csikvari_bound() - exact:.6g}")
     print()
-    for eps, n in zip(epsilons, sizes):
-        seq = extremal_sequence(eps, n)
+    for eps, seq in zip(epsilons, sequences):
         check = check_relaxed_constraints(seq, 5)
-        print(f"epsilon = {eps:g}  (n = {n})")
+        print(f"epsilon = {eps:g}  (n = {seq.n})")
         print(f"  measure     = {seq.measure:.15g}")
         print(f"  gap         = {exact - seq.measure:.6g}")
         print(f"  sum1        = {check.sum1:.6g}")

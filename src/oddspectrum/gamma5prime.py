@@ -5,8 +5,8 @@ meets it from below.
 
 The objective (1 - f(s)^(-1/3)) / (1 + s f(s)^(-2/3)) with
 f(s) = floor(s) + frac(s)^(3/2) is smooth on each interval [m, m+1) and
-kinked at the integers, so the search samples every unit interval and treats
-integer points as explicit candidates.
+kinked at the integers, so the search samples every unit interval on a grid
+whose endpoints are the integers themselves.
 """
 
 from __future__ import annotations
@@ -17,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, require_odd_k
+from .errors import InfeasibleError, UnsupportedSizeError, require_odd_k
 from .spectral import Spectrum
 
 # Where the scaled-by-n extremal construction concentrates: one positive head
 # entry, fourteen -1 tail entries, and a nonnegative middle block.
 _TAIL_LENGTH = 14
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Longest extremal sequence built. It admits epsilon = 1e-10 (n = 3.9e6,
+# 0.33 GB peak for the whole gamma5 run) but not 1e-11 (n = 1.2e7).
+MAX_SEQUENCE_LENGTH = 4_000_000
 
 # A relaxed sequence is the same sorted-tuple type as a graph spectrum.
 RelaxedSequence = Spectrum
@@ -46,33 +48,16 @@ def objective_g(s: float) -> float:
     return (1.0 - fs ** (-1.0 / 3.0)) / (1.0 + s * fs ** (-2.0 / 3.0))
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    mid = 0.5 * (a + b)
-    return mid, fn(mid)
-
-
 def maximize_objective(
     s_max: float, per_interval_samples: int
 ) -> tuple[float, float]:
-    """Argmax and max of the objective over [1, s_max].
+    """Argmax and max of the objective over [1, s_max] on a grid.
 
-    Each unit interval is sampled on a uniform grid (both endpoints
-    included; the objective is continuous, merely kinked at integers), the
-    best sample is refined by golden-section search inside its interval to
-    1e-10 in s, and every integer point competes as an explicit candidate.
+    Each unit interval is sampled on a uniform grid with both endpoints
+    included, so every integer, where the objective is kinked, is a grid
+    point. The maximum sits at the kink s = 14 (s_max >= 15 keeps it in
+    range): the objective rises into 14 and falls just after it, so no
+    refinement between grid points could beat the sample there.
     """
     if not (math.isfinite(s_max) and s_max >= 15):
         raise ValueError(f"s_max must be finite and at least 15, got {s_max}")
@@ -82,8 +67,6 @@ def maximize_objective(
         )
 
     best_s, best_v = 1.0, objective_g(1.0)
-    best_bracket = (1.0, min(2.0, s_max))
-
     m = 1
     while m < s_max:
         a = float(m)
@@ -94,14 +77,7 @@ def maximize_objective(
             v = objective_g(s)
             if v > best_v:
                 best_s, best_v = s, v
-                best_bracket = (max(a, s - step), min(b, s + step))
         m += 1
-
-    refined_s, refined_v = _golden_section_max(
-        objective_g, best_bracket[0], best_bracket[1], 1e-10
-    )
-    if refined_v > best_v:
-        best_s, best_v = refined_s, refined_v
     return best_s, best_v
 
 
@@ -244,8 +220,6 @@ def solve_simple(n: int, c: float, d: float) -> tuple[float, ...]:
             f"cube-sum {d} outside the feasible range [{lo:.6g}, {hi:.6g}] "
             f"for n = {n}, c = {c}"
         )
-    if n == 1:
-        return (c,)
 
     cube_lo_t = _cube_sum_at(c, n, 0.0)  # = c^3
     cube_hi_t = _cube_sum_at(c, n, 1.0)  # = c^3 / n^2
@@ -291,13 +265,18 @@ def extremal_sequence(epsilon: float, n: int) -> Spectrum:
 
     Its measure is ((14-eps)^(2/3) - (14-eps)^(1/3)) / (14^(2/3) + 14 + sqrt(14 eps)),
     which increases to the exact supremum as eps decreases to 0.
+
+    Raises UnsupportedSizeError, before allocating, when n exceeds
+    MAX_SEQUENCE_LENGTH.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     required = math.ceil(n_epsilon(epsilon))
     if n < required:
         raise InfeasibleError(
             f"need n >= {required} for epsilon = {epsilon}, got {n}"
+        )
+    if n > MAX_SEQUENCE_LENGTH:
+        raise UnsupportedSizeError(
+            f"sequence length {n} exceeds the limit {MAX_SEQUENCE_LENGTH}"
         )
     head = (14.0 - epsilon) ** (1.0 / 3.0)
     middle = solve_simple(n - _TAIL_LENGTH - 1, 14.0 - head, epsilon)

@@ -10,10 +10,6 @@ from dataclasses import dataclass
 from .errors import HypothesisError, require_odd_k
 from .spectral import Spectrum
 
-# Above this degree the expanded certificate coefficients blow up and cancel
-# catastrophically; the factored evaluator is used instead.
-EXPANSION_DEGREE_LIMIT = 31
-
 
 @dataclass(frozen=True)
 class OddPolynomial:
@@ -149,13 +145,13 @@ def threshold_partition(s: Spectrum) -> ThresholdPartition:
     return ThresholdPartition(mu=mu, d_plus=d_plus, d_minus=d_minus)
 
 
-def high_lambda1_polynomial(s: Spectrum, k: int):
+def high_lambda1_polynomial(s: Spectrum, k: int) -> FactoredOddPolynomial:
     """Certificate polynomial x^(k - 4d - 2) * prod (x^2 - lambda_i^2)^2 over the
     d = d_minus most negative eigenvalues.
 
     The result is odd of degree k - 2 and vanishes at +-lambda_i for each
-    used eigenvalue. Expanded coefficients are returned for k <= 31; beyond
-    that a factored evaluator with the identical contract is returned.
+    used eigenvalue. It is kept in factored form for every k: expanded
+    coefficients blow up and cancel catastrophically as k grows.
     Raises HypothesisError when k - 4*d_minus - 2 < 1, which happens exactly
     when the spectrum is outside the large-lambda1 regime.
     """
@@ -168,21 +164,4 @@ def high_lambda1_polynomial(s: Spectrum, k: int):
             f"(d_minus = {part.d_minus}); spectrum outside the certificate regime"
         )
     roots = tuple(abs(v) for v in s.values[s.n - part.d_minus :])
-    if k > EXPANSION_DEGREE_LIMIT:
-        return FactoredOddPolynomial(exponent=exponent, roots=roots)
-
-    # Expand prod (y - r^2)^2 in y = x^2, then shift by the leading exponent.
-    poly_y = [1.0]
-    for r in roots:
-        for _ in range(2):
-            r2 = r * r
-            nxt = [0.0] * (len(poly_y) + 1)
-            for i, c in enumerate(poly_y):
-                nxt[i] -= c * r2
-                nxt[i + 1] += c
-            poly_y = nxt
-    coeffs = [0.0] * ((k - 2 + 1) // 2)
-    base = (exponent - 1) // 2
-    for i, c in enumerate(poly_y):
-        coeffs[base + i] = c
-    return OddPolynomial(tuple(coeffs))
+    return FactoredOddPolynomial(exponent=exponent, roots=roots)

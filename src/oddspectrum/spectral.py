@@ -1,9 +1,8 @@
 """Adjacency spectra, exact trace powers, power sums, and the bipartiteness measure.
 
-Floating spectra come from LAPACK's symmetric eigensolver; a self-contained
-cyclic Jacobi solver is kept alongside it as an independent route, and the
-two are cross-checked in the test suite. Walk counts (traces of adjacency
-powers) are computed in exact integer arithmetic, never floating point.
+Floating spectra come from LAPACK's symmetric eigensolver. Walk counts
+(traces of adjacency powers) are computed in exact integer arithmetic, never
+floating point.
 """
 
 from __future__ import annotations
@@ -15,11 +14,6 @@ import numpy as np
 
 from .errors import ConvergenceError, require_odd_k
 from .graph_core import Graph
-
-# Guaranteed absolute accuracy of each eigenvalue returned by eigenvalues().
-EIGENVALUE_TOL = 1e-9
-
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -34,9 +28,7 @@ class Spectrum:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            vals = tuple(sorted(vals, reverse=True))
+        vals = tuple(sorted((float(v) for v in self.values), reverse=True))
         object.__setattr__(self, "values", vals)
 
     @property
@@ -84,55 +76,6 @@ def eigenvalues(g: Graph) -> Spectrum:
     return Spectrum(tuple(float(v) for v in vals[::-1]))
 
 
-def jacobi_eigenvalues(g: Graph) -> Spectrum:
-    """Cyclic Jacobi eigensolver, independent of the LAPACK route.
-
-    Sweeps rotations over all (p, q) pairs until the off-diagonal Frobenius
-    norm drops below 1e-12 * n; fails loudly after 100 sweeps. O(n^3) per
-    sweep, intended for desk-scale cross-checks.
-    """
-    a = g.adjacency_matrix()
-    n = a.shape[0]
-    if n <= 1:
-        return Spectrum(tuple(a.diagonal()))
-    target = 1e-12 * n
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # Summed from the off-diagonal entries themselves: ||A||^2 - ||diag||^2
-        # cancels down to a rounding floor that sits above the target.
-        off = float(np.linalg.norm(a - np.diag(a.diagonal())))
-        if off < target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # Smaller-root tangent keeps |theta| <= pi/4, which is what
-                # guarantees convergence of the cyclic sweep.
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise ConvergenceError(
-            f"Jacobi sweep limit {JACOBI_MAX_SWEEPS} reached on {g!r}"
-        )
-    return Spectrum(tuple(float(v) for v in a.diagonal()))
-
-
 def _int_rows(g: Graph) -> list[list[int]]:
     rows = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
@@ -150,8 +93,6 @@ def trace_powers(g: Graph, j_max: int) -> list[int]:
     if j_max < 1:
         raise ValueError(f"power must be at least 1, got {j_max}")
     n = g.n
-    if n == 0:
-        return [0] * j_max
     adj = g.neighbors()
     power = _int_rows(g)
     traces = [sum(power[i][i] for i in range(n))]

@@ -20,6 +20,13 @@ def test_analyze_text(capsys):
     assert "measure=0.07639320225" in out
     assert "result: PASS" in out
 
+    code, out, _ = run_cli(capsys, "analyze", "B?", "--k", "101")
+    assert code == 0
+    assert (
+        "  chain [skipped] proof-chain inequalities (inapplicable: edgeless graph, "
+        "measure is trivially lambda1/n)\n" in out
+    )
+
 
 def test_analyze_json(capsys):
     code, out, _ = run_cli(capsys, "analyze", "Dhc", "--k", "5", "--format", "json")
@@ -45,11 +52,21 @@ def test_analyze_girth_violation_exits_3(capsys):
     assert "odd girth 3" in err
 
 
-def test_analyze_parse_error_exits_2(capsys):
+def test_analyze_parse_error_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", "~~~~", "--k", "5")
     assert code == 2
     assert out == ""
     assert "byte offset" in err
+
+    malformed = tmp_path / "malformed.g6"
+    malformed.write_text("Dhc\n~~~~\n")
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    for corpus, message in ((malformed, "line 2:"), (empty, "no graphs in")):
+        code, out, err = run_cli(capsys, "analyze", str(corpus), "--k", "5")
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 def test_analyze_even_k_exits_2(capsys):
@@ -63,6 +80,16 @@ def test_analyze_graph_without_vertices_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "at least one vertex" in err
+
+
+def test_scan_graph_without_vertices_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "graphs.g6"
+    corpus.write_text("?\nDhc\n")
+    for source in ((str(corpus),), ("--enumerate", "0")):
+        code, out, err = run_cli(capsys, "scan", *source, "--k", "5")
+        assert code == 2
+        assert out == ""
+        assert "at least one vertex" in err
 
 
 def test_analyze_file(tmp_path, capsys):
@@ -143,13 +170,17 @@ def test_scan_bipartite_only_file(tmp_path, capsys):
         assert row["max_measure"] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_scan_needs_exactly_one_source(capsys):
+def test_scan_needs_exactly_one_source(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "scan", "--k", "5")
     assert code == 2
     assert out == ""
     code, out, _ = run_cli(capsys, "scan", "file.g6", "--enumerate", "4", "--k", "5")
     assert code == 2
     assert out == ""
+    code, out, err = run_cli(capsys, "scan", str(tmp_path / "missing.g6"), "--k", "5")
+    assert code == 2
+    assert out == ""
+    assert "no such file" in err
 
 
 def test_scan_jobs_must_be_positive(capsys):
@@ -207,6 +238,7 @@ def test_gamma5_validation(capsys):
         ("--eps", ","),
         ("--samples", "50"),
         ("--s-max", "nan"),
+        ("--eps", "1e-11"),
     ):
         code, out, _ = run_cli(capsys, "gamma5", *argv)
         assert code == 2

@@ -9,6 +9,7 @@ import pytest
 from oddspectrum import (
     InfeasibleError,
     RelaxedSequence,
+    UnsupportedSizeError,
     check_relaxed_constraints,
     complete_bipartite,
     csikvari_bound,
@@ -24,6 +25,7 @@ from oddspectrum import (
     power_sum_max_closed_form,
     solve_simple,
 )
+from oddspectrum.gamma5prime import MAX_SEQUENCE_LENGTH
 
 
 def test_f_of_s_values():
@@ -204,6 +206,8 @@ def test_extremal_sequence_needs_enough_room():
     assert str(math.ceil(n_epsilon(0.01))) in str(exc_info.value)
     with pytest.raises(ValueError):
         extremal_sequence(1.5, 1000)
+    with pytest.raises(UnsupportedSizeError):
+        extremal_sequence(0.1, MAX_SEQUENCE_LENGTH + 1)
 
 
 def test_extremal_measures_increase_toward_limit():
@@ -235,6 +239,11 @@ def test_check_relaxed_constraints_rejects_violations():
     assert check.sum1 == pytest.approx(2.0)
     with pytest.raises(ValueError):
         check_relaxed_constraints(bad, 4)
+    # Odd sums vanish; only the quadratic budget fails: sum2 = 8 > n*lambda1 = 4.
+    over_budget = check_relaxed_constraints(RelaxedSequence((2.0, -2.0)), 5)
+    assert not over_budget.satisfied
+    assert over_budget.odd_sums == ((1, 0.0), (3, 0.0))
+    assert (over_budget.sum2, over_budget.n_lambda1) == (8.0, 4.0)
 
 
 def test_check_relaxed_constraints_zero_sequence():

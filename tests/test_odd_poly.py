@@ -155,25 +155,26 @@ def test_threshold_partition_counting_invariants():
 
 def test_certificate_polynomial_empty_product():
     p = high_lambda1_polynomial(Spectrum((2.0, 0.5, 0.1)), 7)
-    assert isinstance(p, OddPolynomial)
-    assert p.coeffs == (0.0, 0.0, 1.0)  # x^5
+    assert p == FactoredOddPolynomial(exponent=5, roots=())  # x^5
 
 
 def test_certificate_polynomial_expanded_example():
     p = high_lambda1_polynomial(Spectrum((2.0, 0.0, -1.0)), 9)
-    assert p.coeffs == (0.0, 1.0, -2.0, 1.0)  # x^3 (x^2 - 1)^2
+    assert p == FactoredOddPolynomial(exponent=3, roots=(1.0,))  # x^3 (x^2 - 1)^2
     assert p.degree == 7
-    assert abs(p.evaluate(1.0)) < 1e-12 and abs(p.evaluate(-1.0)) < 1e-12
+    expanded = OddPolynomial((0.0, 1.0, -2.0, 1.0))
+    for x in (-2.0, -1.0, -0.3, 0.0, 0.5, 1.0, 3.0):
+        assert p.evaluate(x) == pytest.approx(expanded.evaluate(x), rel=1e-12, abs=1e-12)
+    assert p.evaluate(1.0) == 0.0 and p.evaluate(-1.0) == 0.0
 
 
 def test_certificate_polynomial_roots_vanish():
     s = eigenvalues(petersen_graph())
     p = high_lambda1_polynomial(s, 21)  # d_minus = 4, exponent 3, degree 19
-    assert isinstance(p, OddPolynomial)
+    assert isinstance(p, FactoredOddPolynomial)
     assert p.degree == 19
     for root in s.values[-4:]:
-        scale = sum(abs(c) * abs(root) ** (2 * i + 1) for i, c in enumerate(p.coeffs))
-        assert abs(p.evaluate(root)) <= 1e-9 * max(1.0, scale)
+        assert p.evaluate(root) == 0.0
 
 
 def test_certificate_polynomial_factored_for_large_k():

@@ -14,7 +14,6 @@ from oddspectrum import (
     complete_bipartite,
     cycle_graph,
     eigenvalues,
-    jacobi_eigenvalues,
     odd_girth,
     petersen_graph,
     power_sum,
@@ -23,7 +22,7 @@ from oddspectrum import (
     trace_powers,
 )
 from oddspectrum.graph_core import Graph
-from util import random_graph
+from util import jacobi_eigenvalues, random_graph
 
 PETERSEN_SPECTRUM = (3.0,) + (1.0,) * 5 + (-2.0,) * 4
 
