@@ -5,7 +5,6 @@ from .bounds import (
     BoundEntry,
     CertificateReport,
     ChainCheck,
-    balogh_constant,
     broad_spectrum_bound,
     certify,
     csikvari_bound,
@@ -25,15 +24,12 @@ from .errors import (
 )
 from .gamma5prime import (
     ConstraintCheck,
-    RelaxedSequence,
     check_relaxed_constraints,
-    export_extremal_sequence,
     extremal_sequence,
     f_of_s,
     maximize_objective,
     n_epsilon,
     objective_g,
-    power_sum_max_bruteforce,
     power_sum_max_closed_form,
     solve_simple,
 )
@@ -45,7 +41,6 @@ from .graph_core import (
     cycle_graph,
     encode_graph6,
     enumerate_labeled_graphs,
-    is_bipartite,
     odd_girth,
     parse_graph6,
     petersen_graph,
@@ -58,16 +53,12 @@ from .odd_poly import (
     chebyshev_T,
     chebyshev_T_recurrence,
     high_lambda1_polynomial,
-    odd_poly_spectrum_sum,
     threshold_partition,
 )
 from .spectral import (
     Spectrum,
     bipartiteness_measure,
-    check_trace_identities,
     eigenvalues,
-    power_sum,
-    signless_laplacian_min_eig,
     trace_power,
     trace_powers,
 )

@@ -91,12 +91,6 @@ def gamma5_prime_value() -> float:
     return (1.0 - 14.0 ** (-1.0 / 3.0)) / (1.0 + 14.0 ** (1.0 / 3.0))
 
 
-def balogh_constant() -> float:
-    """0.1547: the quoted improvement for the signless Laplacian ratio q_n/n
-    on triangle-free graphs, exposed for comparison only."""
-    return 0.1547
-
-
 @dataclass(frozen=True)
 class BoundEntry:
     """One applicable upper bound on the measure, with its slack."""

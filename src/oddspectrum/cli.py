@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 from .bounds import (
     CertificateReport,
@@ -160,46 +161,75 @@ class ScanSummary:
     violations: int
 
 
-def scan_graphs(graphs: list[Graph], k: int) -> list[CertificateReport]:
-    """Certify, in input order, every graph with odd girth >= k; a graph
-    without vertices raises ValueError."""
-    reports = []
-    for g in graphs:
+@dataclass
+class _RowFold:
+    """A ScanRow under construction: reports are folded in as they arrive
+    and none is kept but the first of largest measure."""
+
+    count: int = 0
+    violations: int = 0
+    best: CertificateReport | None = None
+    min_slack: float | None = None
+
+    def add(self, report: CertificateReport) -> None:
+        self.count += 1
+        self.violations += not report.passed
+        if self.best is None or report.measure > self.best.measure:
+            self.best = report  # strict: the first of equal maxima stays
+        tight = report.tightest_bound()
+        if tight is not None and (self.min_slack is None or tight.slack < self.min_slack):
+            self.min_slack = tight.slack
+
+    def row(self, n: int, k: int) -> ScanRow:
+        tight = self.best.tightest_bound()
+        return ScanRow(
+            n=n,
+            k=k,
+            count=self.count,
+            max_measure=self.best.measure,
+            argmax_graph=self.best.graph_id,
+            tightest_bound=tight.name if tight else None,
+            tightest_bound_value=tight.value if tight else None,
+            min_slack=self.min_slack,
+        )
+
+
+def scan_graphs(
+    items: Iterable[Graph | Graph6ParseError], k: int
+) -> tuple[int, int, dict[int, _RowFold]]:
+    """One pass over the input: certify, in order, every graph with odd girth
+    >= k and fold its report into the row for its n; count parse errors as
+    malformed. A graph without vertices raises ValueError.
+
+    Returns (graphs scanned, malformed lines, rows by n).
+    """
+    scanned = malformed = 0
+    rows: dict[int, _RowFold] = {}
+    for item in items:
+        if isinstance(item, Graph6ParseError):
+            malformed += 1
+            continue
+        scanned += 1
         try:
-            reports.append(certify(g, k))
+            report = certify(item, k)
         except GirthViolationError:
-            pass
-    return reports
+            continue
+        rows.setdefault(report.n, _RowFold()).add(report)
+    return scanned, malformed, rows
 
 
-def _scan_row(n: int, k: int, reports: list[CertificateReport]) -> ScanRow:
-    best = max(reports, key=lambda r: r.measure)  # first of equal maxima
-    tight = best.tightest_bound()
-    slacks = [t.slack for t in (r.tightest_bound() for r in reports) if t is not None]
-    return ScanRow(
-        n=n,
-        k=k,
-        count=len(reports),
-        max_measure=best.measure,
-        argmax_graph=best.graph_id,
-        tightest_bound=tight.name if tight else None,
-        tightest_bound_value=tight.value if tight else None,
-        min_slack=min(slacks, default=None),
-    )
-
-
-def build_scan_summary(graphs: list[Graph], k: int, malformed: int) -> ScanSummary:
-    reports = scan_graphs(graphs, k)
-    per_n: dict[int, list[CertificateReport]] = {}
-    for report in reports:
-        per_n.setdefault(report.n, []).append(report)
+def build_scan_summary(items: Iterable[Graph | Graph6ParseError], k: int) -> ScanSummary:
+    """Scan items (graphs, or the parse errors of malformed lines) in one
+    pass that keeps neither graphs nor reports."""
+    scanned, malformed, rows = scan_graphs(items, k)
+    qualifying = sum(fold.count for fold in rows.values())
     return ScanSummary(
-        rows=tuple(_scan_row(n, k, group) for n, group in sorted(per_n.items())),
-        scanned=len(graphs),
-        qualifying=len(reports),
-        skipped_girth=len(graphs) - len(reports),
+        rows=tuple(rows[n].row(n, k) for n in sorted(rows)),
+        scanned=scanned,
+        qualifying=qualifying,
+        skipped_girth=scanned - qualifying,
         malformed_lines=malformed,
-        violations=sum(not r.passed for r in reports),
+        violations=sum(fold.violations for fold in rows.values()),
     )
 
 
@@ -227,21 +257,15 @@ def cmd_scan(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
 
-    malformed = 0
-    graphs: list[Graph] = []
     if args.enumerate is not None:
-        graphs = list(enumerate_labeled_graphs(args.enumerate))
+        items = enumerate_labeled_graphs(args.enumerate)
     else:
         path = Path(args.source)
         if not path.is_file():
             raise ValueError(f"no such file: {path}")
-        for _, item in read_graph6_lines(path.read_text().splitlines()):
-            if isinstance(item, Graph6ParseError):
-                malformed += 1
-            else:
-                graphs.append(item)
+        items = (item for _, item in read_graph6_lines(path.read_text().splitlines()))
 
-    summary = build_scan_summary(graphs, args.k, malformed)
+    summary = build_scan_summary(items, args.k)
 
     if args.format == "json":
         print(json.dumps(asdict(summary)))

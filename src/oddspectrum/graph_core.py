@@ -164,26 +164,6 @@ def odd_girth(g: Graph) -> float:
     return best
 
 
-def is_bipartite(g: Graph) -> bool:
-    """Greedy BFS 2-coloring; independent of the odd_girth computation."""
-    adj = g.neighbors()
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if color[w] < 0:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
-
-
 def _upper_triangle_pairs(n: int) -> Iterator[tuple[int, int]]:
     """Column-major upper-triangle order: (0,1), (0,2), (1,2), (0,3), ..."""
     for v in range(1, n):

@@ -111,14 +111,6 @@ def chebyshev_T(j: int, x: float) -> float:
     return chebyshev_T_recurrence(j, x)
 
 
-def odd_poly_spectrum_sum(s: Spectrum, p) -> float:
-    """Correctly rounded sum of p over the spectrum.
-
-    Accepts anything with an evaluate(x) method (expanded or factored form).
-    """
-    return math.fsum(p.evaluate(v) for v in s.values)
-
-
 @dataclass(frozen=True)
 class ThresholdPartition:
     """Counts of eigenvalues beyond the half-lambda1 thresholds.

@@ -1,4 +1,4 @@
-"""Adjacency spectra, exact trace powers, power sums, and the bipartiteness measure.
+"""Adjacency spectra, exact trace powers, and the bipartiteness measure.
 
 Floating spectra come from LAPACK's symmetric eigensolver. Walk counts
 (traces of adjacency powers) are computed in exact integer arithmetic, never
@@ -7,12 +7,11 @@ floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, require_odd_k
+from .errors import ConvergenceError
 from .graph_core import Graph
 
 
@@ -55,24 +54,18 @@ class Spectrum:
         return (self.lambda1 + self.lambda_n) / self.n
 
 
-def _eigvalsh(g: Graph, matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix built from g; LAPACK
-    failure becomes ConvergenceError."""
-    try:
-        return np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed on {g!r}: {exc}") from exc
-
-
 def eigenvalues(g: Graph) -> Spectrum:
     """All n adjacency eigenvalues, sorted descending, accurate to 1e-9.
 
     The empty graph on n vertices has the all-zero spectrum; n = 0 gives an
-    empty spectrum.
+    empty spectrum. A LAPACK failure raises ConvergenceError.
     """
     if g.n == 0:
         return Spectrum(())
-    vals = _eigvalsh(g, g.adjacency_matrix())
+    try:
+        vals = np.linalg.eigvalsh(g.adjacency_matrix())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed on {g!r}: {exc}") from exc
     return Spectrum(tuple(float(v) for v in vals[::-1]))
 
 
@@ -108,33 +101,6 @@ def trace_power(g: Graph, j: int) -> int:
     return trace_powers(g, j)[-1]
 
 
-def power_sum(s: Spectrum, j: int) -> float:
-    """Correctly rounded sum of j-th powers of the spectrum."""
-    if j < 1:
-        raise ValueError(f"power must be at least 1, got {j}")
-    return math.fsum(v**j for v in s.values)
-
-
-def check_trace_identities(g: Graph, k: int) -> bool:
-    """True iff Tr(A^j) = 0 exactly for every odd j <= k - 2.
-
-    Equivalent to the odd girth of g being at least k: an odd closed walk of
-    length j exists exactly when some odd cycle of length <= j does.
-    """
-    require_odd_k(k, 3)
-    traces = trace_powers(g, k - 2)
-    return all(traces[j - 1] == 0 for j in range(1, k - 1, 2))
-
-
 def bipartiteness_measure(s: Spectrum) -> float:
     """(lambda1 + lambda_n) / n; zero exactly for connected bipartite graphs."""
     return s.measure
-
-
-def signless_laplacian_min_eig(g: Graph) -> float:
-    """Minimum eigenvalue of D + A; equals lambda1 + lambda_n on regular graphs."""
-    if g.n < 1:
-        raise ValueError("signless Laplacian undefined for the empty vertex set")
-    matrix = g.adjacency_matrix()
-    matrix[np.diag_indices(g.n)] = g.degrees()
-    return float(_eigvalsh(g, matrix)[0])

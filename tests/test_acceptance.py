@@ -27,13 +27,11 @@ from oddspectrum import (
     n_epsilon,
     odd_girth,
     petersen_graph,
-    power_sum_max_bruteforce,
     power_sum_max_closed_form,
-    signless_laplacian_min_eig,
     solve_simple,
     trace_power,
 )
-from util import random_graph
+from util import power_sum_max_bruteforce, random_graph, signless_laplacian_min_eig
 
 
 def _verdict(name: str, ok: bool, started: float, budget: float, detail: str = ""):

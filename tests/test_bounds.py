@@ -13,7 +13,6 @@ from oddspectrum import (
     GirthViolationError,
     Graph,
     HypothesisError,
-    balogh_constant,
     bipartiteness_measure,
     broad_spectrum_bound,
     certify,
@@ -96,7 +95,6 @@ def test_comparison_constants():
     assert csikvari_bound() == 3.0 - 2.0 * math.sqrt(2.0)
     assert gamma5_prime_value() == pytest.approx(0.17157252923534153, abs=1e-15)
     assert gamma5_prime_value() < csikvari_bound()
-    assert balogh_constant() == 0.1547
 
 
 def test_cycle_bound_approaches_pi_squared():

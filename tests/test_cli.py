@@ -4,8 +4,15 @@ import json
 
 import pytest
 
-from oddspectrum import complete_bipartite, cycle_graph, encode_graph6
-from oddspectrum.cli import main
+from oddspectrum import (
+    Graph,
+    Graph6ParseError,
+    complete_bipartite,
+    cycle_graph,
+    encode_graph6,
+    enumerate_labeled_graphs,
+)
+from oddspectrum.cli import build_scan_summary, main
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +162,24 @@ def test_scan_file_counts_malformed(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["malformed_lines"] == 1
     assert summary["qualifying"] == 2
+
+
+def test_scan_summary_from_one_shot_generator():
+    # The scan reads its input once, so a generator that can be iterated only
+    # once gives the same summary as a list.
+    items = [*enumerate_labeled_graphs(5), Graph6ParseError("bad line", 0), cycle_graph(7)]
+    items += [cycle_graph(5), complete_bipartite(3, 4)]
+    summary = build_scan_summary(iter(items), 5)
+    assert summary == build_scan_summary(items, 5)
+    assert (summary.scanned, summary.malformed_lines) == (len(items) - 1, 1)
+    assert [row.n for row in summary.rows] == [5, 7]
+
+
+def test_scan_row_keeps_first_of_equal_maxima():
+    # One edge on three vertices, three ways: every measure is exactly 0.0.
+    graphs = [Graph(3, [edge]) for edge in [(1, 2), (0, 1), (0, 2)]]
+    (row,) = build_scan_summary(graphs, 5).rows
+    assert (row.count, row.max_measure, row.argmax_graph) == (3, 0.0, "BG")
 
 
 def test_scan_bipartite_only_file(tmp_path, capsys):

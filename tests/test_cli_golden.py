@@ -2,11 +2,12 @@
 
 The files under tests/golden/ were captured from the commit before the
 one-sequence-type / fsum / single-threaded-scan refactor, which had to keep
-every byte. They were taken on x86-64 Linux with Python 3.11.7, numpy 2.4.6
+every byte; scan_file_k5_text.out was captured from the commit before the
+one-pass streaming scan, which had to keep it too. They were taken on x86-64 Linux with Python 3.11.7, numpy 2.4.6
 and its bundled OpenBLAS 0.3.31. If a numpy or BLAS change moves the last
 digits, regenerate them from that parent commit, never from the change
-under test: copy this file and tests/golden/mixed.g6 into a checkout of the
-parent and run
+under test: copy this file and the .g6 inputs under tests/golden/ into a
+checkout of the parent and run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -24,6 +25,9 @@ from oddspectrum.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MIXED = str(GOLDEN / "mixed.g6")  # C5, C7 and K2,4: three lines, three n
+# A header line, a blank line, two malformed lines, a triangle below the
+# girth, and two graphs each on 5 and on 6 vertices.
+SCAN_FILE = str(GOLDEN / "scan_file.g6")
 
 COMMANDS = {
     "gamma5_six_eps": ["gamma5", "--eps", "0.1,0.01,0.001,1e-4,1e-5,1e-6"],
@@ -41,6 +45,7 @@ COMMANDS = {
         for fmt in ("text", "csv", "json")
     },
     "scan_mixed_jobs4_csv": ["scan", MIXED, "--k", "5", "--jobs", "4", "--format", "csv"],
+    "scan_file_k5_text": ["scan", SCAN_FILE, "--k", "5"],
 }
 
 

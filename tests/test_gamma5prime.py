@@ -8,7 +8,7 @@ import pytest
 
 from oddspectrum import (
     InfeasibleError,
-    RelaxedSequence,
+    Spectrum,
     UnsupportedSizeError,
     check_relaxed_constraints,
     complete_bipartite,
@@ -21,11 +21,11 @@ from oddspectrum import (
     maximize_objective,
     n_epsilon,
     objective_g,
-    power_sum_max_bruteforce,
     power_sum_max_closed_form,
     solve_simple,
 )
 from oddspectrum.gamma5prime import MAX_SEQUENCE_LENGTH
+from util import power_sum_max_bruteforce
 
 
 def test_f_of_s_values():
@@ -40,6 +40,9 @@ def test_f_of_s_below_identity():
     for i in range(1, 400):
         s = i / 13.0
         fs = f_of_s(s)
+        # The alpha = 3/2 case of the closed form, kept as its own function
+        # for speed; the two must not drift apart.
+        assert fs == power_sum_max_closed_form(s, 1.5)
         assert fs <= s + 1e-15
         if abs(s - round(s)) > 1e-9:
             assert fs < s
@@ -233,45 +236,29 @@ def test_check_relaxed_constraints_on_graph_spectra():
 
 
 def test_check_relaxed_constraints_rejects_violations():
-    bad = RelaxedSequence((1.0, 1.0))  # sum is 2, not 0
+    bad = Spectrum((1.0, 1.0))  # sum is 2, not 0
     check = check_relaxed_constraints(bad, 5)
     assert not check.satisfied
     assert check.sum1 == pytest.approx(2.0)
     with pytest.raises(ValueError):
         check_relaxed_constraints(bad, 4)
     # Odd sums vanish; only the quadratic budget fails: sum2 = 8 > n*lambda1 = 4.
-    over_budget = check_relaxed_constraints(RelaxedSequence((2.0, -2.0)), 5)
+    over_budget = check_relaxed_constraints(Spectrum((2.0, -2.0)), 5)
     assert not over_budget.satisfied
     assert over_budget.odd_sums == ((1, 0.0), (3, 0.0))
     assert (over_budget.sum2, over_budget.n_lambda1) == (8.0, 4.0)
 
 
 def test_check_relaxed_constraints_zero_sequence():
-    check = check_relaxed_constraints(RelaxedSequence((0.0,) * 6), 5)
+    check = check_relaxed_constraints(Spectrum((0.0,) * 6), 5)
     assert check.satisfied
     assert check.sum2 == 0.0
-    assert RelaxedSequence((0.0,) * 6).measure == 0.0
-
-
-def test_export_extremal_sequence():
-    import json
-
-    from oddspectrum import export_extremal_sequence
-
-    n = math.ceil(n_epsilon(0.1))
-    payload = json.loads(export_extremal_sequence(0.1, n))
-    assert payload["epsilon"] == 0.1
-    assert payload["n"] == n
-    assert len(payload["values"]) == n
-    assert payload["residuals"]["satisfied"] is True
-    seq = extremal_sequence(0.1, n)
-    assert payload["measure"] == seq.measure
-    assert payload["values"] == list(seq.values)
+    assert Spectrum((0.0,) * 6).measure == 0.0
 
 
 def test_relaxed_sequence_sorts_on_construction():
-    seq = RelaxedSequence((0.0, 2.0, -1.0))
+    seq = Spectrum((0.0, 2.0, -1.0))
     assert seq.values == (2.0, 0.0, -1.0)
     assert seq.lambda1 == 2.0 and seq.lambda_n == -1.0
     with pytest.raises(ValueError):
-        RelaxedSequence(()).measure
+        Spectrum(()).measure

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddspectrum import (
     INFINITE,
@@ -17,12 +19,41 @@ from oddspectrum import (
     eigenvalues,
     encode_graph6,
     enumerate_labeled_graphs,
-    is_bipartite,
     odd_girth,
     parse_graph6,
     petersen_graph,
 )
 from util import brute_force_odd_girth, random_graph, reference_graph6, two_colorable
+
+# Derandomized and without an example database: every run tries the same cases.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# Text that is often graph6: characters from its alphabet, or a size header
+# followed by exactly as many data bytes as it needs, with the optional prefix
+# or a space in front.
+GRAPH6_ALPHABET = "".join(chr(c) for c in range(63, 127))
+
+
+def _header_and_data(n):
+    size = (n * (n - 1) // 2 + 5) // 6
+    return st.text(GRAPH6_ALPHABET, min_size=size, max_size=size).map(lambda d: chr(63 + n) + d)
+
+
+graph6_like = st.builds(
+    str.__add__,
+    st.sampled_from(["", ">>graph6<<", " "]),
+    st.one_of(st.text(GRAPH6_ALPHABET + " ", max_size=12), st.integers(0, 12).flatmap(_header_and_data)),
+)
+
+
+@st.composite
+def graph6_graphs(draw):
+    """A labeled graph on at most 62 vertices, its edge set drawn as a bitmask
+    over the vertex pairs."""
+    n = draw(st.integers(0, 62))
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [pair for j, pair in enumerate(pairs) if mask >> j & 1])
 
 
 def test_graph_normalizes_and_validates():
@@ -113,7 +144,6 @@ def test_odd_girth_infinite_iff_two_colorable():
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 8), p=0.35)
         assert (odd_girth(g) == INFINITE) == two_colorable(g)
-        assert (odd_girth(g) == INFINITE) == is_bipartite(g)
 
 
 def test_parse_graph6_known_values():
@@ -173,6 +203,25 @@ def test_parse_graph6_rejects_nonzero_padding():
     # K2 has one edge bit; the remaining five bits of the byte must be zero.
     with pytest.raises(Graph6ParseError):
         parse_graph6("A" + chr(63 + 0b100001))
+
+
+@PROPERTY
+@given(st.one_of(st.text(), graph6_like))
+def test_parse_graph6_total_on_text(text):
+    # Either a graph whose canonical encoding is the input itself, or the
+    # typed error with an offset inside the input; never another exception.
+    try:
+        g = parse_graph6(text)
+    except Graph6ParseError as exc:
+        assert 0 <= exc.offset <= len(text)
+    else:
+        assert encode_graph6(g) == text.strip().removeprefix(">>graph6<<")
+
+
+@PROPERTY
+@given(graph6_graphs())
+def test_graph6_round_trip_property(g):
+    assert parse_graph6(encode_graph6(g)) == g
 
 
 def test_encode_too_large():

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 
-from oddspectrum import ConvergenceError, Graph, Spectrum
+from oddspectrum import ConvergenceError, Graph, InfeasibleError, Spectrum
 
 JACOBI_MAX_SWEEPS = 100
 
@@ -120,3 +120,113 @@ def jacobi_eigenvalues(g: Graph) -> Spectrum:
             f"Jacobi sweep limit {JACOBI_MAX_SWEEPS} reached on {g!r}"
         )
     return Spectrum(tuple(float(v) for v in a.diagonal()))
+
+
+def signless_laplacian_min_eig(g: Graph) -> float:
+    """Minimum eigenvalue of D + A; equals lambda1 + lambda_n on regular graphs."""
+    if g.n < 1:
+        raise ValueError("signless Laplacian undefined for the empty vertex set")
+    matrix = g.adjacency_matrix()
+    matrix[np.diag_indices(g.n)] = g.degrees()
+    return float(np.linalg.eigvalsh(matrix)[0])
+
+
+def _bruteforce_value(config, alpha: float) -> float:
+    return math.fsum(x**alpha for x in config)
+
+
+def power_sum_max_bruteforce(
+    ell: int, s: float, alpha: float, grid_steps: int
+) -> float:
+    """Independent oracle for the constrained power-sum maximum.
+
+    Grid search over the (ell-1)-dimensional slice of [0, 1]^ell with the
+    last coordinate forced by the sum constraint, followed by pairwise mass
+    shifts pushed to the box boundary (the exchange move that makes the
+    maximizer have at most one fractional coordinate).
+    """
+    if not 1 <= ell <= 4:
+        raise ValueError(f"oracle supports 1 <= ell <= 4, got {ell}")
+    if grid_steps < 100:
+        raise ValueError(f"need at least 100 grid steps, got {grid_steps}")
+    if alpha <= 1:
+        raise ValueError(f"exponent must exceed 1, got {alpha}")
+    if s < 0 or s > ell:
+        raise InfeasibleError(f"sum {s} outside the feasible range [0, {ell}]")
+
+    vals = np.linspace(0.0, 1.0, grid_steps + 1)
+    slack = 1e-12
+
+    best_config: tuple[float, ...] | None = None
+    best_value = -math.inf
+
+    def consider(config: tuple[float, ...]) -> None:
+        nonlocal best_config, best_value
+        value = _bruteforce_value(config, alpha)
+        if value > best_value:
+            best_value = value
+            best_config = config
+
+    if ell == 1:
+        consider((s,))
+    elif ell == 2:
+        last = s - vals
+        mask = (last >= -slack) & (last <= 1.0 + slack)
+        clipped = np.clip(last, 0.0, 1.0)
+        totals = vals**alpha + clipped**alpha
+        totals[~mask] = -np.inf
+        i = int(np.argmax(totals))
+        consider((float(vals[i]), float(clipped[i])))
+    elif ell == 3:
+        for x1 in vals:
+            last = s - x1 - vals
+            mask = (last >= -slack) & (last <= 1.0 + slack)
+            if not mask.any():
+                continue
+            clipped = np.clip(last, 0.0, 1.0)
+            totals = x1**alpha + vals**alpha + clipped**alpha
+            totals[~mask] = -np.inf
+            i = int(np.argmax(totals))
+            consider((float(x1), float(vals[i]), float(clipped[i])))
+    else:
+        x2_grid = vals[:, None]
+        x3_grid = vals[None, :]
+        pow2 = vals**alpha
+        for x1 in vals:
+            last = s - x1 - x2_grid - x3_grid
+            mask = (last >= -slack) & (last <= 1.0 + slack)
+            if not mask.any():
+                continue
+            clipped = np.clip(last, 0.0, 1.0)
+            totals = x1**alpha + pow2[:, None] + pow2[None, :] + clipped**alpha
+            totals[~mask] = -np.inf
+            flat = int(np.argmax(totals))
+            i2, i3 = divmod(flat, totals.shape[1])
+            consider(
+                (float(x1), float(vals[i2]), float(vals[i3]), float(clipped[i2, i3]))
+            )
+
+    assert best_config is not None  # the all-feasible grid always yields one
+
+    # Pairwise refinement: x^alpha is convex, so shifting mass between two
+    # coordinates is maximized at the box boundary.
+    config = list(best_config)
+    for _ in range(4 * ell * ell):
+        improved = False
+        for i in range(ell):
+            for j in range(ell):
+                if i == j:
+                    continue
+                t = min(config[i], 1.0 - config[j])
+                if t <= 0.0:
+                    continue
+                candidate = config.copy()
+                candidate[i] -= t
+                candidate[j] += t
+                if _bruteforce_value(candidate, alpha) > best_value + 1e-15:
+                    config = candidate
+                    best_value = _bruteforce_value(candidate, alpha)
+                    improved = True
+        if not improved:
+            break
+    return best_value
