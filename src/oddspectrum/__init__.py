@@ -12,7 +12,6 @@ from .bounds import (
     gamma5_prime_value,
     high_lambda1_bound,
     main_bound,
-    reports_to_csv,
 )
 from .errors import (
     ConvergenceError,
@@ -49,17 +48,13 @@ from .graph_core import (
 from .odd_poly import (
     FactoredOddPolynomial,
     OddPolynomial,
-    ThresholdPartition,
     chebyshev_T,
     chebyshev_T_recurrence,
     high_lambda1_polynomial,
-    threshold_partition,
 )
 from .spectral import (
     Spectrum,
-    bipartiteness_measure,
     eigenvalues,
-    trace_power,
     trace_powers,
 )
 

@@ -8,8 +8,6 @@ absorb floating rounding.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -17,7 +15,7 @@ from dataclasses import asdict, dataclass
 from .errors import GirthViolationError, HypothesisError, require_odd_k
 from .graph_core import MAX_GRAPH6_VERTICES, Graph, encode_graph6, odd_girth
 from .odd_poly import chebyshev_T, high_lambda1_polynomial
-from .spectral import Spectrum, bipartiteness_measure, eigenvalues, trace_powers
+from .spectral import Spectrum, eigenvalues, trace_powers
 
 # Relative slop for "measure <= bound" style comparisons.
 COMPARISON_RTOL = 1e-12
@@ -164,15 +162,6 @@ class CertificateReport:
         )
 
 
-def reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for report in reports:
-        writer.writerow(report.csv_row())
-    return buf.getvalue()
-
-
 def _bound_entry(name: str, value: float, measure: float) -> BoundEntry:
     tol = COMPARISON_RTOL * max(1.0, abs(value), abs(measure))
     return BoundEntry(
@@ -291,7 +280,7 @@ def certify(g: Graph, k: int) -> CertificateReport:
     s = eigenvalues(g)
     n = g.n
     lam1, lamn = s.lambda1, s.lambda_n
-    measure = bipartiteness_measure(s)
+    measure = s.measure
     trivial = g.m == 0
 
     bounds: list[BoundEntry] = []

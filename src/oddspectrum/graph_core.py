@@ -1,7 +1,7 @@
 """Graph representation, standard generators, blow-ups, odd girth, and graph6 I/O.
 
-All graphs are simple, undirected, and labeled with vertices 0..n-1. Graph
-values are immutable after construction and safe to share across threads.
+All graphs are simple, undirected, and labeled with vertices 0..n-1. A
+graph's vertices and edges are fixed at construction.
 """
 
 from __future__ import annotations
@@ -63,12 +63,6 @@ class Graph:
                 adj[v].append(u)
             self._neighbors = tuple(tuple(sorted(a)) for a in adj)
         return self._neighbors
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.neighbors())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self.neighbors()[u]
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix as floats."""

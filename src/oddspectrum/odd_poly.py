@@ -111,35 +111,9 @@ def chebyshev_T(j: int, x: float) -> float:
     return chebyshev_T_recurrence(j, x)
 
 
-@dataclass(frozen=True)
-class ThresholdPartition:
-    """Counts of eigenvalues beyond the half-lambda1 thresholds.
-
-    mu = lambda1 / 2; d_plus counts entries >= mu, d_minus counts entries
-    <= -mu. Comparisons are exact, with no tolerance at equality.
-    """
-
-    mu: float
-    d_plus: int
-    d_minus: int
-
-    @property
-    def d(self) -> int:
-        return self.d_plus + self.d_minus
-
-
-def threshold_partition(s: Spectrum) -> ThresholdPartition:
-    if s.n == 0 or s.lambda1 <= 0:
-        raise ValueError("threshold partition needs a positive largest eigenvalue")
-    mu = s.lambda1 / 2.0
-    d_plus = sum(1 for v in s.values if v >= mu)
-    d_minus = sum(1 for v in s.values if v <= -mu)
-    return ThresholdPartition(mu=mu, d_plus=d_plus, d_minus=d_minus)
-
-
 def high_lambda1_polynomial(s: Spectrum, k: int) -> FactoredOddPolynomial:
     """Certificate polynomial x^(k - 4d - 2) * prod (x^2 - lambda_i^2)^2 over the
-    d = d_minus most negative eigenvalues.
+    d = d_minus eigenvalues <= -lambda1/2 (compared exactly, no tolerance).
 
     The result is odd of degree k - 2 and vanishes at +-lambda_i for each
     used eigenvalue. It is kept in factored form for every k: expanded
@@ -148,12 +122,15 @@ def high_lambda1_polynomial(s: Spectrum, k: int) -> FactoredOddPolynomial:
     when the spectrum is outside the large-lambda1 regime.
     """
     require_odd_k(k, 3)
-    part = threshold_partition(s)
-    exponent = k - 4 * part.d_minus - 2
+    if s.lambda1 <= 0:
+        raise ValueError("certificate polynomial needs a positive largest eigenvalue")
+    mu = s.lambda1 / 2.0
+    d_minus = sum(1 for v in s.values if v <= -mu)
+    exponent = k - 4 * d_minus - 2
     if exponent < 1:
         raise HypothesisError(
             f"certificate exponent k - 4*d_minus - 2 = {exponent} < 1 "
-            f"(d_minus = {part.d_minus}); spectrum outside the certificate regime"
+            f"(d_minus = {d_minus}); spectrum outside the certificate regime"
         )
-    roots = tuple(abs(v) for v in s.values[s.n - part.d_minus :])
+    roots = tuple(abs(v) for v in s.values[s.n - d_minus :])
     return FactoredOddPolynomial(exponent=exponent, roots=roots)

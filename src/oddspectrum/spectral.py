@@ -49,8 +49,6 @@ class Spectrum:
     @property
     def measure(self) -> float:
         """(lambda1 + lambda_n) / n; zero exactly for connected bipartite graphs."""
-        if not self.values:
-            raise ValueError("measure undefined for an empty spectrum")
         return (self.lambda1 + self.lambda_n) / self.n
 
 
@@ -60,13 +58,11 @@ def eigenvalues(g: Graph) -> Spectrum:
     The empty graph on n vertices has the all-zero spectrum; n = 0 gives an
     empty spectrum. A LAPACK failure raises ConvergenceError.
     """
-    if g.n == 0:
-        return Spectrum(())
     try:
         vals = np.linalg.eigvalsh(g.adjacency_matrix())
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed on {g!r}: {exc}") from exc
-    return Spectrum(tuple(float(v) for v in vals[::-1]))
+    return Spectrum(tuple(vals[::-1].tolist()))
 
 
 def _int_rows(g: Graph) -> list[list[int]]:
@@ -95,12 +91,3 @@ def trace_powers(g: Graph, j_max: int) -> list[int]:
         traces.append(sum(power[i][i] for i in range(n)))
     return traces
 
-
-def trace_power(g: Graph, j: int) -> int:
-    """Exact integer trace of the j-th adjacency power (closed walks of length j)."""
-    return trace_powers(g, j)[-1]
-
-
-def bipartiteness_measure(s: Spectrum) -> float:
-    """(lambda1 + lambda_n) / n; zero exactly for connected bipartite graphs."""
-    return s.measure

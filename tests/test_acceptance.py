@@ -9,7 +9,6 @@ import random
 import time
 
 from oddspectrum import (
-    bipartiteness_measure,
     blow_up,
     broad_spectrum_bound,
     chebyshev_T,
@@ -29,7 +28,7 @@ from oddspectrum import (
     petersen_graph,
     power_sum_max_closed_form,
     solve_simple,
-    trace_power,
+    trace_powers,
 )
 from util import power_sum_max_bruteforce, random_graph, signless_laplacian_min_eig
 
@@ -48,7 +47,7 @@ def test_criterion_01_cycle_formula():
     started = time.monotonic()
     worst = 0.0
     for k in range(5, 202, 2):
-        measure = bipartiteness_measure(eigenvalues(cycle_graph(k)))
+        measure = eigenvalues(cycle_graph(k)).measure
         formula = (2.0 / k) * (1.0 - math.cos(math.pi / k))
         worst = max(worst, abs(measure - formula))
     _verdict(
@@ -67,7 +66,7 @@ def test_criterion_02_petersen():
     expected = (3.0,) + (1.0,) * 5 + (-2.0,) * 4
     spectrum_ok = all(abs(a - b) <= 1e-9 for a, b in zip(s.values, expected))
     girth_ok = odd_girth(g) == 5
-    measure = bipartiteness_measure(s)
+    measure = s.measure
     measure_ok = (
         abs(measure - 0.1) <= 1e-9
         and measure <= csikvari_bound()
@@ -88,8 +87,8 @@ def test_criterion_03_exact_trace_identities():
     for k in range(5, 16, 2):
         g = cycle_graph(k)
         for j in range(1, k - 1, 2):
-            ok = ok and trace_power(g, j) == 0
-        ok = ok and trace_power(g, k) != 0
+            ok = ok and trace_powers(g, j)[-1] == 0
+        ok = ok and trace_powers(g, k)[-1] != 0
     _verdict(
         "criterion 03 exact odd-trace identities on C_k, k in [5, 15]",
         ok,
@@ -108,7 +107,7 @@ def test_criterion_04_exhaustive_gamma5_sanity():
         for g in enumerate_labeled_graphs(n):
             count += 1
             if odd_girth(g) >= 5:
-                best = max(best, bipartiteness_measure(eigenvalues(g)))
+                best = max(best, eigenvalues(g).measure)
         assert count == 2 ** (n * (n - 1) // 2)
         max_per_n[n] = best
     c5_value = (2.0 / 5.0) * (1.0 - math.cos(math.pi / 5.0))
@@ -223,13 +222,13 @@ def test_criterion_09_blow_up_invariance():
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 8), p=rng.choice([0.3, 0.5, 0.7]))
         base = eigenvalues(g)
-        base_measure = bipartiteness_measure(base)
+        base_measure = base.measure
         base_girth = odd_girth(g)
         for m in (2, 3):
             big = blow_up(g, m)
             ok = ok and odd_girth(big) == base_girth
             big_spec = eigenvalues(big)
-            ok = ok and abs(bipartiteness_measure(big_spec) - base_measure) <= 1e-8
+            ok = ok and abs(big_spec.measure - base_measure) <= 1e-8
             expected = sorted(
                 [m * v for v in base.values] + [0.0] * ((m - 1) * g.n), reverse=True
             )

@@ -13,7 +13,6 @@ from oddspectrum import (
     GirthViolationError,
     Graph,
     HypothesisError,
-    bipartiteness_measure,
     broad_spectrum_bound,
     certify,
     complete_bipartite,
@@ -26,8 +25,8 @@ from oddspectrum import (
     high_lambda1_bound,
     main_bound,
     odd_girth,
-    reports_to_csv,
 )
+from oddspectrum.bounds import CSV_HEADER
 from util import random_graph
 
 
@@ -42,7 +41,7 @@ def test_cycle_lower_bound_values():
 
 def test_cycle_lower_bound_matches_eigensolver():
     for k in (5, 21, 101):
-        measure = bipartiteness_measure(eigenvalues(cycle_graph(k)))
+        measure = eigenvalues(cycle_graph(k)).measure
         assert abs(measure - cycle_lower_bound(k)) < 1e-8
 
 
@@ -218,11 +217,9 @@ def test_report_serialization():
     bipartite = certify(complete_bipartite(2, 2), 5)
     assert json.loads(bipartite.to_json())["odd_girth"] == "inf"
 
-    text = reports_to_csv([report, bipartite])
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("graph,n,odd_girth,lambda1")
-    assert len(lines) == 3
-    assert lines[1].split(",")[0] == "Dhc"
+    assert ",".join(CSV_HEADER).startswith("graph,n,odd_girth,lambda1")
+    assert len(report.csv_row()) == len(bipartite.csv_row()) == len(CSV_HEADER)
+    assert report.csv_row()[0] == "Dhc"
 
 
 def test_report_failure_flag():

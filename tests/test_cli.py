@@ -12,7 +12,7 @@ from oddspectrum import (
     encode_graph6,
     enumerate_labeled_graphs,
 )
-from oddspectrum.cli import build_scan_summary, main
+from oddspectrum.cli import main, scan_graphs
 
 
 def run_cli(capsys, *argv):
@@ -164,13 +164,30 @@ def test_scan_file_counts_malformed(tmp_path, capsys):
     assert summary["qualifying"] == 2
 
 
+def test_scan_file_counts_non_utf8_line_as_malformed(tmp_path, capsys):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"Dhc\n\xff\xfe\nDhc\n")
+    code, out, _ = run_cli(capsys, "scan", str(corpus), "--k", "5")
+    assert code == 0
+    assert out.startswith("scanned=2  qualifying=2  skipped_girth=0  malformed=1  ")
+
+
+def test_analyze_file_names_the_non_utf8_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"Dhc\n\xff\xfe\nDhc\n")
+    code, out, err = run_cli(capsys, "analyze", str(corpus), "--k", "5")
+    assert code == 2
+    assert out == ""
+    assert "error: line 2: non-ASCII byte" in err
+
+
 def test_scan_summary_from_one_shot_generator():
     # The scan reads its input once, so a generator that can be iterated only
     # once gives the same summary as a list.
     items = [*enumerate_labeled_graphs(5), Graph6ParseError("bad line", 0), cycle_graph(7)]
     items += [cycle_graph(5), complete_bipartite(3, 4)]
-    summary = build_scan_summary(iter(items), 5)
-    assert summary == build_scan_summary(items, 5)
+    summary = scan_graphs(iter(items), 5)
+    assert summary == scan_graphs(items, 5)
     assert (summary.scanned, summary.malformed_lines) == (len(items) - 1, 1)
     assert [row.n for row in summary.rows] == [5, 7]
 
@@ -178,7 +195,7 @@ def test_scan_summary_from_one_shot_generator():
 def test_scan_row_keeps_first_of_equal_maxima():
     # One edge on three vertices, three ways: every measure is exactly 0.0.
     graphs = [Graph(3, [edge]) for edge in [(1, 2), (0, 1), (0, 2)]]
-    (row,) = build_scan_summary(graphs, 5).rows
+    (row,) = scan_graphs(graphs, 5).rows
     assert (row.count, row.max_measure, row.argmax_graph) == (3, 0.0, "BG")
 
 

@@ -3,7 +3,10 @@
 The files under tests/golden/ were captured from the commit before the
 one-sequence-type / fsum / single-threaded-scan refactor, which had to keep
 every byte; scan_file_k5_text.out was captured from the commit before the
-one-pass streaming scan, which had to keep it too. They were taken on x86-64 Linux with Python 3.11.7, numpy 2.4.6
+one-pass streaming scan, and analyze_mixed_k5_csv.out and
+analyze_file_k101_{text,csv}.out from the commit before the report CSV writer
+and the threshold partition were deleted; each of those changes had to keep
+the bytes too. They were taken on x86-64 Linux with Python 3.11.7, numpy 2.4.6
 and its bundled OpenBLAS 0.3.31. If a numpy or BLAS change moves the last
 digits, regenerate them from that parent commit, never from the change
 under test: copy this file and the .g6 inputs under tests/golden/ into a
@@ -28,6 +31,9 @@ MIXED = str(GOLDEN / "mixed.g6")  # C5, C7 and K2,4: three lines, three n
 # A header line, a blank line, two malformed lines, a triangle below the
 # girth, and two graphs each on 5 and on 6 vertices.
 SCAN_FILE = str(GOLDEN / "scan_file.g6")
+# The bipartite 12-vertex graph below, the edgeless graph on 3 vertices (its
+# proof chain prints as "chain [skipped]" at k = 101) and K2.
+ANALYZE_K101 = str(GOLDEN / "analyze_k101.g6")
 
 COMMANDS = {
     "gamma5_six_eps": ["gamma5", "--eps", "0.1,0.01,0.001,1e-4,1e-5,1e-6"],
@@ -39,6 +45,9 @@ COMMANDS = {
     # Random bipartite graph on 12 vertices; the JSON carries the certificate
     # polynomial residual (~1e-30) with full repr precision.
     "analyze_bipartite_k101_json": ["analyze", "K??FSxg|AWY_", "--k", "101", "--format", "json"],
+    "analyze_mixed_k5_csv": ["analyze", MIXED, "--k", "5", "--format", "csv"],
+    "analyze_file_k101_text": ["analyze", ANALYZE_K101, "--k", "101"],
+    "analyze_file_k101_csv": ["analyze", ANALYZE_K101, "--k", "101", "--format", "csv"],
     **{
         f"scan_enum5_k{k}_{fmt}": ["scan", "--enumerate", "5", "--k", str(k), "--format", fmt]
         for k in (3, 5)

@@ -17,7 +17,6 @@ from oddspectrum import (
     eigenvalues,
     high_lambda1_polynomial,
     petersen_graph,
-    threshold_partition,
 )
 
 
@@ -121,19 +120,13 @@ def test_random_odd_polynomials_sum_to_zero_below_girth():
 
 
 def test_threshold_partition_examples():
-    part = threshold_partition(Spectrum((2.0, 0.0, 0.0, -2.0)))
-    assert (part.mu, part.d_plus, part.d_minus) == (1.0, 1, 1)
-    assert part.d == 2
-
-    petersen = threshold_partition(eigenvalues(petersen_graph()))
-    assert petersen.mu == pytest.approx(1.5, abs=1e-9)
-    assert (petersen.d_plus, petersen.d_minus) == (1, 4)
-
-    c5 = threshold_partition(eigenvalues(cycle_graph(5)))
-    assert (c5.d_plus, c5.d_minus) == (1, 2)
+    # d_minus, the count of eigenvalues <= -lambda1/2, is the number of roots.
+    assert len(high_lambda1_polynomial(Spectrum((2.0, 0.0, 0.0, -2.0)), 7).roots) == 1
+    assert len(high_lambda1_polynomial(eigenvalues(petersen_graph()), 21).roots) == 4
+    assert len(high_lambda1_polynomial(eigenvalues(cycle_graph(5)), 11).roots) == 2
 
     with pytest.raises(ValueError):
-        threshold_partition(Spectrum((0.0, 0.0)))
+        high_lambda1_polynomial(Spectrum((0.0, 0.0)), 7)
 
 
 def test_threshold_partition_counting_invariants():
@@ -146,10 +139,8 @@ def test_threshold_partition_counting_invariants():
         from oddspectrum import Graph
 
         s = eigenvalues(Graph(n, edges))
-        part = threshold_partition(s)
-        assert part.d_plus >= 1
-        assert part.d_minus >= 0
-        assert part.d <= 4.0 * n / s.lambda1 + 1e-9
+        p = high_lambda1_polynomial(s, 4 * n + 3)  # exponent >= 1 for any d_minus <= n
+        assert len(p.roots) <= 4.0 * n / s.lambda1 + 1e-9
 
 
 def test_certificate_polynomial_empty_product():
@@ -198,9 +189,9 @@ def test_certificate_polynomial_interval_envelope():
         (eigenvalues(petersen_graph()), 21),
         (Spectrum((2.0, 0.0, -1.0)), 9),
     ]:
-        part = threshold_partition(s)
         p = high_lambda1_polynomial(s, k)
-        cap = s.lambda1 ** (k - 4) * 2.0 ** (-k + 4 * part.d_minus + 4)
+        mu, d_minus = s.lambda1 / 2.0, len(p.roots)
+        cap = s.lambda1 ** (k - 4) * 2.0 ** (-k + 4 * d_minus + 4)
         for i in range(-200, 201):
-            x = part.mu * i / 200.0
+            x = mu * i / 200.0
             assert abs(p.evaluate(x)) <= x * x * cap * (1.0 + 1e-9) + 1e-12

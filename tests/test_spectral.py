@@ -9,14 +9,12 @@ import pytest
 
 from oddspectrum import (
     Spectrum,
-    bipartiteness_measure,
     blow_up,
     complete_bipartite,
     cycle_graph,
     eigenvalues,
     odd_girth,
     petersen_graph,
-    trace_power,
     trace_powers,
 )
 from oddspectrum.graph_core import Graph
@@ -54,7 +52,7 @@ def test_eigenvalues_degenerate_graphs():
     assert eigenvalues(Graph(0)).values == ()
     s = eigenvalues(Graph(4))
     assert s.values == (0.0, 0.0, 0.0, 0.0)
-    assert bipartiteness_measure(s) == 0.0
+    assert s.measure == 0.0
 
 
 def test_spectrum_sorted_and_traceless():
@@ -86,18 +84,18 @@ def test_jacobi_agrees_with_lapack():
 
 def test_trace_power_examples():
     triangle = cycle_graph(3)
-    assert trace_power(triangle, 3) == 6
-    assert isinstance(trace_power(triangle, 3), int)
-    assert trace_power(cycle_graph(5), 3) == 0
-    assert trace_power(complete_bipartite(1, 1), 2) == 2
+    assert trace_powers(triangle, 3)[-1] == 6
+    assert isinstance(trace_powers(triangle, 3)[-1], int)
+    assert trace_powers(cycle_graph(5), 3)[-1] == 0
+    assert trace_powers(complete_bipartite(1, 1), 2)[-1] == 2
     with pytest.raises(ValueError):
-        trace_power(triangle, 0)
+        trace_powers(triangle, 0)
 
 
 def test_trace_powers_prefix_consistency():
     g = petersen_graph()
     all_traces = trace_powers(g, 6)
-    assert all_traces == [trace_power(g, j) for j in range(1, 7)]
+    assert all_traces == [trace_powers(g, j)[-1] for j in range(1, 7)]
 
 
 def test_power_sum_matches_exact_traces():
@@ -106,7 +104,7 @@ def test_power_sum_matches_exact_traces():
         g = random_graph(rng, rng.randint(1, 10))
         s = eigenvalues(g)
         for j in range(1, 7):
-            exact = trace_power(g, j)
+            exact = trace_powers(g, j)[-1]
             power_sum = math.fsum(v**j for v in s.values)
             assert abs(power_sum - exact) <= 1e-6 * max(1, abs(exact))
 
@@ -117,8 +115,9 @@ def test_power_sum_examples():
     c5 = eigenvalues(cycle_graph(5))
     assert abs(math.fsum(v**2 for v in c5.values) - 10.0) < 1e-9
     petersen = eigenvalues(petersen_graph())
-    assert abs(math.fsum(v**3 for v in petersen.values) - trace_power(petersen_graph(), 3)) < 1e-6
-    assert trace_power(petersen_graph(), 3) == 0
+    petersen_t3 = trace_powers(petersen_graph(), 3)[-1]
+    assert abs(math.fsum(v**3 for v in petersen.values) - petersen_t3) < 1e-6
+    assert petersen_t3 == 0
 
 
 def test_degree_sum_bound():
@@ -149,12 +148,12 @@ def test_trace_identities_iff_odd_girth():
 
 
 def test_bipartiteness_measure_examples():
-    assert abs(bipartiteness_measure(eigenvalues(complete_bipartite(3, 3)))) < 1e-9
-    c5 = bipartiteness_measure(eigenvalues(cycle_graph(5)))
+    assert abs(eigenvalues(complete_bipartite(3, 3)).measure) < 1e-9
+    c5 = eigenvalues(cycle_graph(5)).measure
     assert abs(c5 - (2.0 / 5.0) * (1.0 - math.cos(math.pi / 5.0))) < 1e-9
-    assert abs(bipartiteness_measure(eigenvalues(petersen_graph())) - 0.1) < 1e-9
+    assert abs(eigenvalues(petersen_graph()).measure - 0.1) < 1e-9
     with pytest.raises(ValueError):
-        bipartiteness_measure(Spectrum(()))
+        Spectrum(()).measure
 
 
 def test_signless_laplacian_examples():
@@ -188,9 +187,7 @@ def test_blow_up_scales_spectrum():
                 [m * v for v in base.values] + [0.0] * ((m - 1) * g.n), reverse=True
             )
             assert max(abs(a - b) for a, b in zip(big.values, expected)) < 1e-8
-            assert abs(
-                bipartiteness_measure(big) - bipartiteness_measure(base)
-            ) < 1e-8
+            assert abs(big.measure - base.measure) < 1e-8
 
 
 def test_jacobi_converges_on_odd_cycles():

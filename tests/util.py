@@ -127,7 +127,7 @@ def signless_laplacian_min_eig(g: Graph) -> float:
     if g.n < 1:
         raise ValueError("signless Laplacian undefined for the empty vertex set")
     matrix = g.adjacency_matrix()
-    matrix[np.diag_indices(g.n)] = g.degrees()
+    matrix[np.diag_indices(g.n)] = [len(a) for a in g.neighbors()]
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
