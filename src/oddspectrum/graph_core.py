@@ -10,8 +10,6 @@ import math
 from collections import deque
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import Graph6ParseError, UnsupportedSizeError
 
 # Odd girth of a graph without odd cycles (i.e. a bipartite graph).
@@ -63,14 +61,6 @@ class Graph:
                 adj[v].append(u)
             self._neighbors = tuple(tuple(sorted(a)) for a in adj)
         return self._neighbors
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix as floats."""
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
 
     def __eq__(self, other) -> bool:
         return (
@@ -170,42 +160,43 @@ def parse_graph6(text: str) -> Graph:
 
     The optional ``>>graph6<<`` prefix is accepted. Strict on everything
     else: bad header, short input, trailing bytes, and nonzero padding bits
-    all raise Graph6ParseError with the offending byte offset.
+    all raise Graph6ParseError with the offending byte's offset in text.
     """
-    line = text.strip()
-    if line.startswith(GRAPH6_HEADER_PREFIX):
-        line = line[len(GRAPH6_HEADER_PREFIX):]
+    start = len(text) - len(text.lstrip())
+    if text.startswith(GRAPH6_HEADER_PREFIX, start):
+        start += len(GRAPH6_HEADER_PREFIX)
+    line = text[start:].rstrip()
     if not line:
         raise Graph6ParseError("empty graph6 input", 0)
     try:
         raw = line.encode("ascii")
     except UnicodeEncodeError as exc:
-        raise Graph6ParseError("non-ASCII byte in graph6 input", exc.start) from None
+        raise Graph6ParseError("non-ASCII byte in graph6 input", start + exc.start) from None
 
     header = raw[0]
     if header == 126:
-        raise Graph6ParseError("multi-byte size header not supported", 0)
+        raise Graph6ParseError("multi-byte size header not supported", start)
     if not 63 <= header <= 125:
-        raise Graph6ParseError(f"invalid size header byte {header}", 0)
+        raise Graph6ParseError(f"invalid size header byte {header}", start)
     n = header - 63
 
     n_bits = n * (n - 1) // 2
     n_bytes = (n_bits + 5) // 6
     if len(raw) - 1 < n_bytes:
         raise Graph6ParseError(
-            f"truncated input: need {n_bytes} data bytes for n = {n}", len(raw)
+            f"truncated input: need {n_bytes} data bytes for n = {n}", start + len(raw)
         )
     if len(raw) - 1 > n_bytes:
-        raise Graph6ParseError("trailing garbage after edge data", 1 + n_bytes)
+        raise Graph6ParseError("trailing garbage after edge data", start + 1 + n_bytes)
 
     bits: list[int] = []
-    for offset, byte in enumerate(raw[1:], start=1):
+    for offset, byte in enumerate(raw[1:], start=start + 1):
         if not 63 <= byte <= 126:
             raise Graph6ParseError(f"non-printable data byte {byte}", offset)
         value = byte - 63
         bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
     if any(bits[n_bits:]):
-        raise Graph6ParseError("nonzero padding bits", n_bytes)
+        raise Graph6ParseError("nonzero padding bits", start + n_bytes)
 
     edges = [pair for pair, bit in zip(_upper_triangle_pairs(n), bits) if bit]
     return Graph(n, edges)
@@ -260,6 +251,6 @@ def read_graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, Graph | Graph
         if not stripped or stripped == GRAPH6_HEADER_PREFIX:
             continue
         try:
-            yield lineno, parse_graph6(stripped)
+            yield lineno, parse_graph6(line)
         except Graph6ParseError as exc:
             yield lineno, exc

@@ -58,19 +58,14 @@ def eigenvalues(g: Graph) -> Spectrum:
     The empty graph on n vertices has the all-zero spectrum; n = 0 gives an
     empty spectrum. A LAPACK failure raises ConvergenceError.
     """
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
     try:
-        vals = np.linalg.eigvalsh(g.adjacency_matrix())
+        vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed on {g!r}: {exc}") from exc
     return Spectrum(tuple(vals[::-1].tolist()))
-
-
-def _int_rows(g: Graph) -> list[list[int]]:
-    rows = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        rows[u][v] = 1
-        rows[v][u] = 1
-    return rows
 
 
 def trace_powers(g: Graph, j_max: int) -> list[int]:
@@ -83,11 +78,12 @@ def trace_powers(g: Graph, j_max: int) -> list[int]:
         raise ValueError(f"power must be at least 1, got {j_max}")
     n = g.n
     adj = g.neighbors()
-    power = _int_rows(g)
+    power = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        power[u][v] = power[v][u] = 1
     traces = [sum(power[i][i] for i in range(n))]
     for _ in range(j_max - 1):
-        nxt = [[sum(row[u] for u in adj[v]) for v in range(n)] for row in power]
-        power = nxt
+        power = [[sum(row[u] for u in adj[v]) for v in range(n)] for row in power]
         traces.append(sum(power[i][i] for i in range(n)))
     return traces
 

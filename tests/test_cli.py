@@ -69,7 +69,14 @@ def test_analyze_parse_error_exits_2(tmp_path, capsys):
     malformed.write_text("Dhc\n~~~~\n")
     empty = tmp_path / "empty.g6"
     empty.write_text("")
-    for corpus, message in ((malformed, "line 2:"), (empty, "no graphs in")):
+    # The offset counts from the start of the line as read.
+    prefixed = tmp_path / "prefixed.g6"
+    prefixed.write_text("  >>graph6<<Dhc~\n")
+    for corpus, message in (
+        (malformed, "line 2:"),
+        (empty, "no graphs in"),
+        (prefixed, "line 1: trailing garbage after edge data (byte offset 15)"),
+    ):
         code, out, err = run_cli(capsys, "analyze", str(corpus), "--k", "5")
         assert code == 2
         assert out == ""
@@ -281,6 +288,7 @@ def test_gamma5_validation(capsys):
         ("--samples", "50"),
         ("--s-max", "nan"),
         ("--eps", "1e-11"),
+        ("--eps", "1e-320"),  # the size threshold overflows a float
     ):
         code, out, _ = run_cli(capsys, "gamma5", *argv)
         assert code == 2

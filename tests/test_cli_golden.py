@@ -5,12 +5,13 @@ one-sequence-type / fsum / single-threaded-scan refactor, which had to keep
 every byte; scan_file_k5_text.out was captured from the commit before the
 one-pass streaming scan, and analyze_mixed_k5_csv.out and
 analyze_file_k101_{text,csv}.out from the commit before the report CSV writer
-and the threshold partition were deleted; each of those changes had to keep
-the bytes too. They were taken on x86-64 Linux with Python 3.11.7, numpy 2.4.6
-and its bundled OpenBLAS 0.3.31. If a numpy or BLAS change moves the last
-digits, regenerate them from that parent commit, never from the change
-under test: copy this file and the .g6 inputs under tests/golden/ into a
-checkout of the parent and run
+and the threshold partition were deleted, and gamma5_two_small_eps.out from
+f819b4c, before the extremal sequence was built from one float per distinct
+value; each of those changes had to keep the bytes too. They were taken on
+x86-64 Linux with Python 3.11.7, numpy 2.4.6 and its bundled OpenBLAS 0.3.31.
+If a numpy or BLAS change moves the last digits, regenerate them from that
+parent commit, never from the change under test: copy this file and the .g6
+inputs under tests/golden/ into a checkout of the parent and run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -37,6 +38,10 @@ ANALYZE_K101 = str(GOLDEN / "analyze_k101.g6")
 
 COMMANDS = {
     "gamma5_six_eps": ["gamma5", "--eps", "0.1,0.01,0.001,1e-4,1e-5,1e-6"],
+    # Sums over extremal sequences of up to n = 394,579 entries.
+    "gamma5_two_small_eps": [
+        "gamma5", "--eps", "1e-7,1e-8", "--s-max", "15", "--samples", "100"
+    ],
     "bounds_text": ["bounds", "--k-min", "3", "--k-max", "301"],
     "bounds_csv": ["bounds", "--k-min", "3", "--k-max", "301", "--format", "csv"],
     "bounds_json": ["bounds", "--k-min", "3", "--k-max", "301", "--format", "json"],

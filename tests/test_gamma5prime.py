@@ -211,6 +211,8 @@ def test_extremal_sequence_needs_enough_room():
         extremal_sequence(1.5, 1000)
     with pytest.raises(UnsupportedSizeError):
         extremal_sequence(0.1, MAX_SEQUENCE_LENGTH + 1)
+    with pytest.raises(UnsupportedSizeError):  # the size threshold overflows
+        extremal_sequence(1e-320, 10)
 
 
 def test_extremal_measures_increase_toward_limit():

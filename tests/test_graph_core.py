@@ -190,6 +190,10 @@ def test_graph6_round_trips():
         ("A_X", 2),
         ("D" + chr(32) + "c", 1),  # non-printable data byte
         ("Do", 2),  # short by one byte
+        # Offsets count from the start of the text as given.
+        (">>graph6<<Dhcc", 13),
+        ("  Dhcc", 5),
+        (">>graph6<<D", 11),
     ],
 )
 def test_parse_graph6_errors(text, offset):
