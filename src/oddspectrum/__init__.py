@@ -35,6 +35,7 @@ from .gamma5prime import (
 from .graph_core import (
     INFINITE,
     Graph,
+    LabeledGraphs,
     blow_up,
     complete_bipartite,
     cycle_graph,

@@ -89,6 +89,14 @@ def gamma5_prime_value() -> float:
     return (1.0 - 14.0 ** (-1.0 / 3.0)) / (1.0 + 14.0 ** (1.0 / 3.0))
 
 
+def constant_bounds(k: int) -> list[tuple[str, float]]:
+    """(name, value) of the bounds at odd girth k that do not depend on the
+    graph: for k >= 5 the k = 5 relaxation and Csikvari's bound, else none."""
+    if k < 5:
+        return []
+    return [("gamma5_prime", gamma5_prime_value()), ("csikvari", csikvari_bound())]
+
+
 @dataclass(frozen=True)
 class BoundEntry:
     """One applicable upper bound on the measure, with its slack."""
@@ -280,10 +288,7 @@ def certify(g: Graph, k: int) -> CertificateReport:
     measure = s.measure
     trivial = g.m == 0
 
-    bounds: list[BoundEntry] = []
-    if k >= 5:
-        bounds.append(_bound_entry("gamma5_prime", gamma5_prime_value(), measure))
-        bounds.append(_bound_entry("csikvari", csikvari_bound(), measure))
+    bounds = [_bound_entry(name, value, measure) for name, value in constant_bounds(k)]
 
     case: int | None = None
     chains: list[ChainCheck] = []

@@ -161,6 +161,9 @@ def parse_graph6(text: str) -> Graph:
     The optional ``>>graph6<<`` prefix is accepted. Strict on everything
     else: bad header, short input, trailing bytes, and nonzero padding bits
     all raise Graph6ParseError with the offending byte's offset in text.
+    Offsets count UTF-8 bytes, a lone surrogate from a byte that was not
+    UTF-8 as one byte, so a non-ASCII space before the graph counts as the
+    bytes it was read from.
     """
     start = len(text) - len(text.lstrip())
     if text.startswith(GRAPH6_HEADER_PREFIX, start):
@@ -168,6 +171,8 @@ def parse_graph6(text: str) -> Graph:
     line = text[start:].rstrip()
     if not line:
         raise Graph6ParseError("empty graph6 input", 0)
+    # In bytes from here on; line is ASCII up to each offset reported below.
+    start = len(text[:start].encode("utf-8", "surrogateescape"))
     try:
         raw = line.encode("ascii")
     except UnicodeEncodeError as exc:
@@ -222,22 +227,40 @@ def encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """Yield every labeled simple graph on n vertices, in edge-bitmask order.
+class LabeledGraphs:
+    """Every labeled simple graph on n vertices, in edge-bitmask order.
 
     Bit j of the mask controls the j-th pair in column-major upper-triangle
-    order. No isomorphism reduction is performed.
+    order (``pairs``). Iterating yields the graphs; a batch reader can take
+    ranges of masks instead and build only the graphs it needs with graph().
+    No isomorphism reduction is performed.
     """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    if n > MAX_ENUMERATION_VERTICES:
-        raise UnsupportedSizeError(
-            f"enumeration limited to n <= {MAX_ENUMERATION_VERTICES}, got {n}"
-        )
-    pairs = list(_upper_triangle_pairs(n))
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[j] for j in range(len(pairs)) if (mask >> j) & 1]
-        yield Graph(n, edges)
+
+    __slots__ = ("n", "pairs")
+
+    def __init__(self, n: int):
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        if n > MAX_ENUMERATION_VERTICES:
+            raise UnsupportedSizeError(
+                f"enumeration limited to n <= {MAX_ENUMERATION_VERTICES}, got {n}"
+            )
+        self.n = n
+        self.pairs = tuple(_upper_triangle_pairs(n))
+
+    def __len__(self) -> int:
+        return 1 << len(self.pairs)
+
+    def __iter__(self) -> Iterator[Graph]:
+        return map(self.graph, range(len(self)))
+
+    def graph(self, mask: int) -> Graph:
+        return Graph(self.n, [pair for j, pair in enumerate(self.pairs) if mask >> j & 1])
+
+
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
+    """Yield every labeled simple graph on n vertices (see LabeledGraphs)."""
+    yield from LabeledGraphs(n)
 
 
 def read_graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, Graph | Graph6ParseError]]:

@@ -1,0 +1,94 @@
+"""The numpy kernel of the corpus scan: chunks of graphs with a common vertex
+count as (B, n, n) adjacency stacks, an odd-girth gate by boolean matrix
+powers, and one stacked eigensolver call per chunk.
+
+Only the scan imports this module, so numpy is loaded by the commands that
+run LAPACK and by no other.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from .bounds import COMPARISON_RTOL
+from .errors import ConvergenceError, require_odd_k
+from .graph_core import Graph
+
+# Bound on B * n^2 for a chunk of B graphs on n vertices. Near 2^14 entries a
+# chunk's arrays stay well under a megabyte; 2^17 raised the peak RSS of
+# `scan --enumerate 7 --k 5` by 2.2 MB and ran no faster.
+CHUNK_ENTRIES = 1 << 14
+
+
+def chunk_size(n: int) -> int:
+    """Graphs per chunk at n vertices: at least one."""
+    return max(1, CHUNK_ENTRIES // (n * n or 1))
+
+
+def mask_adjacency(n: int, pairs: Sequence[tuple[int, int]], masks: range) -> np.ndarray:
+    """The (B, n, n) 0/1 stack of the graphs numbered by masks, bit j of a
+    mask being the edge pairs[j] (the numbering of LabeledGraphs)."""
+    rows = [u for u, _ in pairs]
+    cols = [v for _, v in pairs]
+    bits = (np.arange(masks.start, masks.stop)[:, None] >> np.arange(len(pairs))) & 1
+    adj = np.zeros((len(masks), n, n), np.float32)
+    adj[:, rows, cols] = bits
+    adj[:, cols, rows] = bits
+    return adj
+
+
+def graph_adjacency(n: int, graphs: Sequence[Graph]) -> np.ndarray:
+    """The (B, n, n) 0/1 stack of graphs, all on n vertices."""
+    adj = np.zeros((len(graphs), n, n), np.float32)
+    for a, g in zip(adj, graphs):
+        if g.edges:
+            u, v = zip(*g.edges)
+            a[u, v] = a[v, u] = 1
+    return adj
+
+
+def odd_walk_free(adj: np.ndarray, k: int) -> np.ndarray:
+    """For each matrix of the (B, n, n) 0/1 stack, whether its graph has odd
+    girth >= k, that is no closed walk of odd length j <= k-2.
+
+    A closed walk of length j extends to one of length j+2 by going out and
+    back along one of its edges, so it is enough that diag(A^(k-2)) is zero.
+    That diagonal is sum_j R[i, j] A[j, i] with R the boolean power A^(k-3),
+    taken by repeated squaring with each float32 product clipped to 1. The
+    products are exact: no entry exceeds n.
+    """
+    require_odd_k(k, 3)
+    reach = None  # A^(k-3) over booleans; None stands for the identity
+    base, e = adj, k - 3
+    while e:
+        if e & 1:
+            reach = base if reach is None else np.minimum(reach @ base, 1)
+        e >>= 1
+        if e:
+            base = np.minimum(base @ base, 1)
+    if reach is None:  # k = 3: a simple graph has no loop
+        return np.ones(len(adj), bool)
+    return ~(reach * adj).any(axis=(1, 2))
+
+
+def measures(adj: np.ndarray) -> np.ndarray:
+    """(lambda1 + lambda_n) / n for each matrix of a non-empty (B, n, n)
+    stack. One float64 eigvalsh runs the LAPACK call of spectral.eigenvalues
+    on every matrix, so each value is bit-identical to Spectrum.measure."""
+    try:
+        vals = np.linalg.eigvalsh(adj.astype(np.float64))  # ascending
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed on {len(adj)} graphs: {exc}") from exc
+    return (vals[:, -1] + vals[:, 0]) / adj.shape[-1]
+
+
+def count_violations(measures: np.ndarray, values: Sequence[float]) -> int:
+    """How many measures exceed one of the bound values, by the rule of
+    bounds._bound_entry: measure <= value + 1e-12 * max(1, |value|, |measure|)."""
+    bad = np.zeros(len(measures), bool)
+    for value in values:
+        tol = COMPARISON_RTOL * np.maximum(max(1.0, abs(value)), np.abs(measures))
+        bad |= ~(measures <= value + tol)
+    return int(bad.sum())

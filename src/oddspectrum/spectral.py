@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError
 from .graph_core import Graph
 
@@ -58,6 +56,8 @@ def eigenvalues(g: Graph) -> Spectrum:
     The empty graph on n vertices has the all-zero spectrum; n = 0 gives an
     empty spectrum. A LAPACK failure raises ConvergenceError.
     """
+    import numpy as np  # here, so that commands without a spectrum never load it
+
     a = np.zeros((g.n, g.n))
     for u, v in g.edges:
         a[u, v] = a[v, u] = 1.0

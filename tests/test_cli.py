@@ -83,6 +83,21 @@ def test_analyze_parse_error_exits_2(tmp_path, capsys):
         assert message in err
 
 
+def test_parse_error_offsets_count_bytes(tmp_path, capsys):
+    # A no-break space read from a file is the two bytes C2 A0, and an
+    # undecodable byte is one byte, wherever the text came from.
+    corpus = tmp_path / "nbsp.g6"
+    corpus.write_bytes(b"\xc2\xa0Dhcc\n")
+    for source in (str(corpus), "\xa0Dhcc"):
+        code, out, err = run_cli(capsys, "analyze", source, "--k", "5")
+        assert code == 2
+        assert out == ""
+        assert "trailing garbage after edge data (byte offset 5)" in err
+    corpus.write_bytes(b"\xc2\xa0D\xffc\n")
+    code, _, err = run_cli(capsys, "analyze", str(corpus), "--k", "5")
+    assert "line 1: non-ASCII byte in graph6 input (byte offset 3)" in err
+
+
 def test_analyze_even_k_exits_2(capsys):
     code, out, _ = run_cli(capsys, "analyze", "Dhc", "--k", "4")
     assert code == 2

@@ -194,6 +194,9 @@ def test_graph6_round_trips():
         (">>graph6<<Dhcc", 13),
         ("  Dhcc", 5),
         (">>graph6<<D", 11),
+        # ... in UTF-8 bytes: a no-break space is two.
+        ("\xa0Dhcc", 5),
+        ("\xa0>>graph6<<D\xe9", 13),
     ],
 )
 def test_parse_graph6_errors(text, offset):
@@ -212,11 +215,11 @@ def test_parse_graph6_rejects_nonzero_padding():
 @given(st.one_of(st.text(), graph6_like))
 def test_parse_graph6_total_on_text(text):
     # Either a graph whose canonical encoding is the input itself, or the
-    # typed error with an offset inside the input; never another exception.
+    # typed error with a byte offset inside the input; never another exception.
     try:
         g = parse_graph6(text)
     except Graph6ParseError as exc:
-        assert 0 <= exc.offset <= len(text)
+        assert 0 <= exc.offset <= len(text.encode("utf-8", "surrogateescape"))
     else:
         assert encode_graph6(g) == text.strip().removeprefix(">>graph6<<")
 

@@ -1,0 +1,157 @@
+"""The batched scan kernel against the per-graph certify() fold, its odd-girth
+gate against odd_girth and exact traces, and the lazy numpy import."""
+
+import functools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oddspectrum import (
+    Graph,
+    LabeledGraphs,
+    blow_up,
+    complete_bipartite,
+    cycle_graph,
+    eigenvalues,
+    encode_graph6,
+    enumerate_labeled_graphs,
+    odd_girth,
+    petersen_graph,
+    read_graph6_lines,
+    scan_kernel,
+    trace_powers,
+)
+from oddspectrum.cli import main, scan_graphs
+from util import per_graph_scan, random_graph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@functools.cache
+def enumeration_oracle(n, k):
+    return per_graph_scan(enumerate_labeled_graphs(n), k)
+
+
+def mixed_lines():
+    """graph6 lines on 1 to 12 vertices: a header, a blank line, malformed
+    lines, edgeless, bipartite and odd-cycle graphs, random graphs on 4 to 12
+    vertices, and three graphs of equal measure whose first must win."""
+    rng = random.Random(20261018)
+    graphs = [Graph(1), Graph(4), cycle_graph(5), complete_bipartite(2, 3)]
+    graphs += [cycle_graph(7), petersen_graph(), blow_up(cycle_graph(5), 2), cycle_graph(9)]
+    graphs += [Graph(3, [edge]) for edge in [(1, 2), (0, 1), (0, 2)]]  # measure 0.0 each
+    graphs += [complete_bipartite(3, 3), cycle_graph(6), Graph(1), Graph(3)]
+    graphs += [random_graph(rng, rng.randint(4, 12), rng.choice([0.15, 0.3])) for _ in range(60)]
+    lines = [encode_graph6(g) for g in graphs]
+    for at, bad in ((3, "not graph6"), (9, "Dhcc"), (20, "~???"), (40, "Déc")):
+        lines.insert(at, bad)
+    return [">>graph6<<", "", *lines]
+
+
+def mixed_items():
+    return [item for _, item in read_graph6_lines(mixed_lines())]
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_matches_per_graph_scan(n, k):
+    assert scan_graphs(LabeledGraphs(n), k) == enumeration_oracle(n, k)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumeration_matches_per_graph_scan_at_k101(n):
+    # Every qualifying graph goes through certify() at k >= 100.
+    assert scan_graphs(LabeledGraphs(n), 101) == enumeration_oracle(n, 101)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3])
+@pytest.mark.parametrize("k", [3, 5, 7])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumeration_chunk_boundaries(monkeypatch, n, k, per_chunk):
+    # per_chunk graphs in each chunk, read as masks and as Graph objects.
+    monkeypatch.setattr(scan_kernel, "CHUNK_ENTRIES", per_chunk * n * n)
+    assert scan_kernel.chunk_size(n) == per_chunk
+    assert scan_graphs(LabeledGraphs(n), k) == enumeration_oracle(n, k)
+    assert scan_graphs(enumerate_labeled_graphs(n), k) == enumeration_oracle(n, k)
+
+
+@pytest.mark.parametrize("k", [5, 7, 101])
+@pytest.mark.parametrize("chunk_entries", [None, 1, 3, 27, 100])
+def test_mixed_graph6_matches_per_graph_scan(monkeypatch, k, chunk_entries):
+    # 1 puts every graph in a chunk of its own, so the three equal measures on
+    # 3 vertices meet across chunks; 27 puts them in one chunk.
+    if chunk_entries is not None:
+        monkeypatch.setattr(scan_kernel, "CHUNK_ENTRIES", chunk_entries)
+    summary = scan_graphs(iter(mixed_items()), k)
+    assert summary == per_graph_scan(mixed_items(), k)
+    assert summary.malformed_lines == 4
+    assert {row.n: row for row in summary.rows}[3].argmax_graph == "BG"
+
+
+def test_enumeration_masks_build_the_enumerated_graphs():
+    for n in range(6):
+        graphs = LabeledGraphs(n)
+        masks = range(len(graphs))
+        assert list(graphs) == list(enumerate_labeled_graphs(n))
+        assert (
+            scan_kernel.mask_adjacency(n, graphs.pairs, masks)
+            == scan_kernel.graph_adjacency(n, list(graphs))
+        ).all()
+
+
+def test_measures_bit_identical_to_eigenvalues():
+    graphs = list(LabeledGraphs(5))
+    measures = scan_kernel.measures(scan_kernel.graph_adjacency(5, graphs))
+    assert measures.tolist() == [eigenvalues(g).measure for g in graphs]
+
+
+def test_measure_mismatch_counts_as_violation(monkeypatch, capsys):
+    # The winner's certificate must reproduce the kernel's measure bit for bit.
+    measures = scan_kernel.measures
+    monkeypatch.setattr(scan_kernel, "measures", lambda adj: measures(adj) + 2.0**-40)
+    assert scan_graphs(LabeledGraphs(5), 5).violations == 1
+    assert main(["scan", "--enumerate", "5", "--k", "5"]) == 1
+    assert "violations=1" in capsys.readouterr().out
+
+
+@st.composite
+def graph_stacks(draw):
+    """One to four labeled graphs on a common n <= 10."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    masks = draw(st.lists(st.integers(0, (1 << len(pairs)) - 1), min_size=1, max_size=4))
+    return [Graph(n, [p for j, p in enumerate(pairs) if mask >> j & 1]) for mask in masks]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graph_stacks(), st.sampled_from([3, 5, 7, 9, 11]))
+def test_gate_agrees_with_odd_girth_and_traces(graphs, k):
+    gate = scan_kernel.odd_walk_free(scan_kernel.graph_adjacency(graphs[0].n, graphs), k)
+    for g, passed in zip(graphs, gate.tolist()):
+        assert passed == (odd_girth(g) >= k)
+        assert passed == all(t == 0 for t in trace_powers(g, k - 2)[::2])
+
+
+def test_numpy_loaded_only_by_commands_that_need_it():
+    code = (
+        "import sys, contextlib, io\n"
+        "import oddspectrum.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['bounds', '--k-min', '5', '--k-max', '101']) == 0\n"
+        "    assert cli.main(['gamma5', '--eps', '0.1', '--s-max', '20']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['analyze', 'Dhc', '--k', '5']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "True"]

@@ -4,10 +4,21 @@ the library code they check."""
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
-from oddspectrum import ConvergenceError, Graph, InfeasibleError, Spectrum
+from oddspectrum import (
+    CertificateReport,
+    ConvergenceError,
+    GirthViolationError,
+    Graph,
+    Graph6ParseError,
+    InfeasibleError,
+    Spectrum,
+    certify,
+)
+from oddspectrum.cli import ScanRow, ScanSummary
 
 JACOBI_MAX_SWEEPS = 100
 
@@ -55,6 +66,65 @@ def two_colorable(g: Graph) -> bool:
                 elif color[w] == color[v]:
                     return False
     return True
+
+
+@dataclass
+class _ReportFold:
+    """One row of the per-graph scan: reports are folded in as they arrive
+    and none is kept but the first of largest measure."""
+
+    count: int = 0
+    violations: int = 0
+    best: CertificateReport | None = None
+    min_slack: float | None = None
+
+    def add(self, report: CertificateReport) -> None:
+        self.count += 1
+        self.violations += not report.passed
+        if self.best is None or report.measure > self.best.measure:
+            self.best = report  # strict: the first of equal maxima stays
+        tight = report.tightest_bound()
+        if tight is not None and (self.min_slack is None or tight.slack < self.min_slack):
+            self.min_slack = tight.slack
+
+    def row(self, n: int, k: int) -> ScanRow:
+        tight = self.best.tightest_bound()
+        return ScanRow(
+            n=n,
+            k=k,
+            count=self.count,
+            max_measure=self.best.measure,
+            argmax_graph=self.best.graph_id,
+            tightest_bound=tight.name if tight else None,
+            tightest_bound_value=tight.value if tight else None,
+            min_slack=self.min_slack,
+        )
+
+
+def per_graph_scan(items, k: int) -> ScanSummary:
+    """The scan as one certify() per graph, in input order: the oracle of the
+    batched kernel in cli.scan_graphs."""
+    scanned = malformed = 0
+    rows: dict[int, _ReportFold] = {}
+    for item in items:
+        if isinstance(item, Graph6ParseError):
+            malformed += 1
+            continue
+        scanned += 1
+        try:
+            report = certify(item, k)
+        except GirthViolationError:
+            continue
+        rows.setdefault(report.n, _ReportFold()).add(report)
+    qualifying = sum(fold.count for fold in rows.values())
+    return ScanSummary(
+        rows=tuple(rows[n].row(n, k) for n in sorted(rows)),
+        scanned=scanned,
+        qualifying=qualifying,
+        skipped_girth=scanned - qualifying,
+        malformed_lines=malformed,
+        violations=sum(fold.violations for fold in rows.values()),
+    )
 
 
 def reference_graph6(n: int, edges) -> str:
