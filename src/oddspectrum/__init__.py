@@ -40,7 +40,6 @@ from .graph_core import (
     complete_bipartite,
     cycle_graph,
     encode_graph6,
-    enumerate_labeled_graphs,
     odd_girth,
     parse_graph6,
     petersen_graph,
@@ -53,10 +52,6 @@ from .odd_poly import (
     chebyshev_T_recurrence,
     high_lambda1_polynomial,
 )
-from .spectral import (
-    Spectrum,
-    eigenvalues,
-    trace_powers,
-)
+from .spectral import Spectrum, eigenvalues
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from .errors import GirthViolationError, HypothesisError, require_odd_k
 from .graph_core import MAX_GRAPH6_VERTICES, Graph, encode_graph6, odd_girth
 from .odd_poly import chebyshev_T, high_lambda1_polynomial
-from .spectral import Spectrum, eigenvalues, trace_powers
+from .spectral import Spectrum, eigenvalues
 
 # Relative slop for "measure <= bound" style comparisons.
 COMPARISON_RTOL = 1e-12
@@ -184,7 +184,21 @@ def _inapplicable(description: str, relation: str = "<=") -> ChainCheck:
 
 
 def _odd_trace_chain(g: Graph, k: int) -> ChainCheck:
-    worst = max(abs(t) for t in trace_powers(g, k - 2)[::2])
+    """Tr(A^j) = 0 for every odd j <= k-2, decided by the scan kernel's
+    boolean-power gate. An odd trace never decreases from j to j+2 (going out
+    and back along an edge extends each closed walk), so the largest is
+    Tr(A^(k-2)), counted in exact integers only when the gate fails."""
+    import numpy as np  # here, so that importing bounds loads no numpy
+
+    # scan_kernel imports COMPARISON_RTOL from this module at load time, so
+    # the two import each other; this late import is what keeps that working.
+    # The odd-walk gate itself uses nothing from bounds.
+    from . import scan_kernel
+
+    adj = scan_kernel.graph_adjacency(g.n, [g])
+    worst = 0
+    if not scan_kernel.odd_walk_free(adj, k)[0]:
+        worst = np.linalg.matrix_power(adj[0].astype(int).astype(object), k - 2).trace()
     return ChainCheck(
         description=f"max |Tr(A^j)| over odd j <= {k - 2} (exact integers)",
         left=float(worst),

@@ -258,11 +258,6 @@ class LabeledGraphs:
         return Graph(self.n, [pair for j, pair in enumerate(self.pairs) if mask >> j & 1])
 
 
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """Yield every labeled simple graph on n vertices (see LabeledGraphs)."""
-    yield from LabeledGraphs(n)
-
-
 def read_graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, Graph | Graph6ParseError]]:
     """Parse an iterable of graph6 lines, yielding (line_number, result).
 

@@ -2,8 +2,9 @@
 count as (B, n, n) adjacency stacks, an odd-girth gate by boolean matrix
 powers, and one stacked eigensolver call per chunk.
 
-Only the scan imports this module, so numpy is loaded by the commands that
-run LAPACK and by no other.
+The scan imports this module, and certify imports it when it first checks
+the odd traces of a graph (a stack of one), so numpy is loaded by the
+commands that run LAPACK and by no other.
 """
 
 from __future__ import annotations

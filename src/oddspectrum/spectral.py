@@ -1,8 +1,7 @@
-"""Adjacency spectra, exact trace powers, and the bipartiteness measure.
+"""Adjacency spectra and the bipartiteness measure.
 
-Floating spectra come from LAPACK's symmetric eigensolver. Walk counts
-(traces of adjacency powers) are computed in exact integer arithmetic, never
-floating point.
+Spectra come from LAPACK's symmetric eigensolver. The exact odd-walk check
+that certify runs is the boolean-power gate of scan_kernel.
 """
 
 from __future__ import annotations
@@ -66,24 +65,4 @@ def eigenvalues(g: Graph) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed on {g!r}: {exc}") from exc
     return Spectrum(tuple(vals[::-1].tolist()))
-
-
-def trace_powers(g: Graph, j_max: int) -> list[int]:
-    """Exact traces [Tr(A^1), ..., Tr(A^j_max)] via arbitrary-precision ints.
-
-    Tr(A^j) counts closed walks of length j; Python integers make overflow
-    impossible, so the counts are exact at any size.
-    """
-    if j_max < 1:
-        raise ValueError(f"power must be at least 1, got {j_max}")
-    n = g.n
-    adj = g.neighbors()
-    power = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        power[u][v] = power[v][u] = 1
-    traces = [sum(power[i][i] for i in range(n))]
-    for _ in range(j_max - 1):
-        power = [[sum(row[u] for u in adj[v]) for v in range(n)] for row in power]
-        traces.append(sum(power[i][i] for i in range(n)))
-    return traces
 

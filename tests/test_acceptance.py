@@ -9,15 +9,16 @@ import random
 import time
 
 from oddspectrum import (
+    LabeledGraphs,
     blow_up,
     broad_spectrum_bound,
+    certify,
     chebyshev_T,
     chebyshev_T_recurrence,
     check_relaxed_constraints,
     csikvari_bound,
     cycle_graph,
     eigenvalues,
-    enumerate_labeled_graphs,
     extremal_sequence,
     gamma5_prime_value,
     high_lambda1_bound,
@@ -28,9 +29,14 @@ from oddspectrum import (
     petersen_graph,
     power_sum_max_closed_form,
     solve_simple,
+)
+from oddspectrum.scan_kernel import graph_adjacency, odd_walk_free
+from util import (
+    power_sum_max_bruteforce,
+    random_graph,
+    signless_laplacian_min_eig,
     trace_powers,
 )
-from util import power_sum_max_bruteforce, random_graph, signless_laplacian_min_eig
 
 
 def _verdict(name: str, ok: bool, started: float, budget: float, detail: str = ""):
@@ -89,6 +95,11 @@ def test_criterion_03_exact_trace_identities():
         for j in range(1, k - 1, 2):
             ok = ok and trace_powers(g, j)[-1] == 0
         ok = ok and trace_powers(g, k)[-1] != 0
+        # The package decides the same fact with the scan kernel's gate.
+        adj = graph_adjacency(k, [g])
+        ok = ok and bool(odd_walk_free(adj, k)[0])
+        ok = ok and not odd_walk_free(adj, k + 2)[0]
+        ok = ok and certify(g, k).chain_checks[0].left == 0.0
     _verdict(
         "criterion 03 exact odd-trace identities on C_k, k in [5, 15]",
         ok,
@@ -104,7 +115,7 @@ def test_criterion_04_exhaustive_gamma5_sanity():
     for n in (5, 6):
         best = 0.0
         count = 0
-        for g in enumerate_labeled_graphs(n):
+        for g in LabeledGraphs(n):
             count += 1
             if odd_girth(g) >= 5:
                 best = max(best, eigenvalues(g).measure)

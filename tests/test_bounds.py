@@ -13,6 +13,7 @@ from oddspectrum import (
     GirthViolationError,
     Graph,
     HypothesisError,
+    LabeledGraphs,
     broad_spectrum_bound,
     certify,
     complete_bipartite,
@@ -20,14 +21,14 @@ from oddspectrum import (
     cycle_graph,
     cycle_lower_bound,
     eigenvalues,
-    enumerate_labeled_graphs,
     gamma5_prime_value,
     high_lambda1_bound,
     main_bound,
     odd_girth,
+    petersen_graph,
 )
 from oddspectrum.bounds import CSV_HEADER
-from util import random_graph
+from util import random_graph, trace_powers
 
 
 def test_cycle_lower_bound_values():
@@ -180,9 +181,36 @@ def test_certify_small_k_has_trace_chain():
     assert chain.satisfied and chain.left == 0.0
 
 
+@pytest.mark.parametrize(
+    ("g", "k", "left"),
+    [(cycle_graph(3), 5, 6.0), (cycle_graph(5), 7, 10.0), (petersen_graph(), 9, 1680.0)],
+    ids=["C3", "C5", "Petersen"],
+)
+def test_trace_chain_fails_when_the_girth_gate_lets_an_odd_cycle_through(
+    monkeypatch, g, k, left
+):
+    # Behind a girth gate that lies, the chain still finds the odd walks:
+    # left is Tr(A^(k-2)), the largest odd trace, and the report fails.
+    monkeypatch.setattr("oddspectrum.bounds.odd_girth", lambda g: 99)
+    report = certify(g, k)
+    (chain,) = report.chain_checks
+    assert (chain.left, chain.satisfied, report.passed) == (left, False, False)
+
+
+def test_trace_chain_left_is_the_largest_odd_trace(monkeypatch):
+    monkeypatch.setattr("oddspectrum.bounds.odd_girth", lambda g: 99)
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 8), p=0.5)
+        for k in (3, 5, 7, 9):
+            (chain,) = certify(g, k).chain_checks
+            worst = max(abs(t) for t in trace_powers(g, k - 2)[::2])
+            assert (chain.left, chain.satisfied) == (float(worst), worst == 0)
+
+
 def test_certify_never_violated_on_small_corpus():
     # The bounds are theorems; a violation on any qualifying graph is a bug.
-    for g in enumerate_labeled_graphs(4):
+    for g in LabeledGraphs(4):
         for k in (3, 5):
             if odd_girth(g) >= k:
                 assert certify(g, k).passed

@@ -7,10 +7,10 @@ import pytest
 from oddspectrum import (
     Graph,
     Graph6ParseError,
+    LabeledGraphs,
     complete_bipartite,
     cycle_graph,
     encode_graph6,
-    enumerate_labeled_graphs,
 )
 from oddspectrum.cli import main, scan_graphs
 
@@ -206,7 +206,7 @@ def test_analyze_file_names_the_non_utf8_line(tmp_path, capsys):
 def test_scan_summary_from_one_shot_generator():
     # The scan reads its input once, so a generator that can be iterated only
     # once gives the same summary as a list.
-    items = [*enumerate_labeled_graphs(5), Graph6ParseError("bad line", 0), cycle_graph(7)]
+    items = [*LabeledGraphs(5), Graph6ParseError("bad line", 0), cycle_graph(7)]
     items += [cycle_graph(5), complete_bipartite(3, 4)]
     summary = scan_graphs(iter(items), 5)
     assert summary == scan_graphs(items, 5)

@@ -11,13 +11,13 @@ from oddspectrum import (
     INFINITE,
     Graph,
     Graph6ParseError,
+    LabeledGraphs,
     UnsupportedSizeError,
     blow_up,
     complete_bipartite,
     cycle_graph,
     eigenvalues,
     encode_graph6,
-    enumerate_labeled_graphs,
     odd_girth,
     parse_graph6,
     petersen_graph,
@@ -236,18 +236,18 @@ def test_encode_too_large():
 
 
 def test_enumerate_counts():
-    assert len(list(enumerate_labeled_graphs(0))) == 1
-    three = list(enumerate_labeled_graphs(3))
+    assert len(list(LabeledGraphs(0))) == 1
+    three = list(LabeledGraphs(3))
     assert len(three) == 8
     assert len(set(three)) == 8
     assert three[0] == Graph(3)
     assert three[-1].m == 3  # complete graph comes last in bitmask order
-    assert len(list(enumerate_labeled_graphs(4))) == 64
+    assert len(list(LabeledGraphs(4))) == 64
 
 
 def test_enumerate_limit():
     with pytest.raises(UnsupportedSizeError):
-        next(enumerate_labeled_graphs(9))
+        LabeledGraphs(9)
 
 
 def test_enumerated_max_measure_at_five_vertices():
@@ -255,7 +255,7 @@ def test_enumerated_max_measure_at_five_vertices():
     # itself maximizes the measure.
     best = max(
         eigenvalues(g).measure
-        for g in enumerate_labeled_graphs(5)
+        for g in LabeledGraphs(5)
         if odd_girth(g) >= 5
     )
     expected = (2.0 / 5.0) * (1.0 - math.cos(math.pi / 5.0))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,22 +21,21 @@ from oddspectrum import (
     cycle_graph,
     eigenvalues,
     encode_graph6,
-    enumerate_labeled_graphs,
     odd_girth,
     petersen_graph,
     read_graph6_lines,
     scan_kernel,
-    trace_powers,
 )
+from oddspectrum.bounds import COMPARISON_RTOL, _bound_entry
 from oddspectrum.cli import main, scan_graphs
-from util import per_graph_scan, random_graph
+from util import per_graph_scan, random_graph, trace_powers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @functools.cache
 def enumeration_oracle(n, k):
-    return per_graph_scan(enumerate_labeled_graphs(n), k)
+    return per_graph_scan(LabeledGraphs(n), k)
 
 
 def mixed_lines():
@@ -78,7 +78,7 @@ def test_enumeration_chunk_boundaries(monkeypatch, n, k, per_chunk):
     monkeypatch.setattr(scan_kernel, "CHUNK_ENTRIES", per_chunk * n * n)
     assert scan_kernel.chunk_size(n) == per_chunk
     assert scan_graphs(LabeledGraphs(n), k) == enumeration_oracle(n, k)
-    assert scan_graphs(enumerate_labeled_graphs(n), k) == enumeration_oracle(n, k)
+    assert scan_graphs(iter(LabeledGraphs(n)), k) == enumeration_oracle(n, k)
 
 
 @pytest.mark.parametrize("k", [5, 7, 101])
@@ -98,7 +98,6 @@ def test_enumeration_masks_build_the_enumerated_graphs():
     for n in range(6):
         graphs = LabeledGraphs(n)
         masks = range(len(graphs))
-        assert list(graphs) == list(enumerate_labeled_graphs(n))
         assert (
             scan_kernel.mask_adjacency(n, graphs.pairs, masks)
             == scan_kernel.graph_adjacency(n, list(graphs))
@@ -118,6 +117,38 @@ def test_measure_mismatch_counts_as_violation(monkeypatch, capsys):
     assert scan_graphs(LabeledGraphs(5), 5).violations == 1
     assert main(["scan", "--enumerate", "5", "--k", "5"]) == 1
     assert "violations=1" in capsys.readouterr().out
+
+
+def boundary_measures(value):
+    """Measures five ulps either side of value + 1e-12 * max(1, |value|),
+    where a measure near value stops satisfying the bound."""
+    edge = value + COMPARISON_RTOL * max(1.0, abs(value))
+    below, above = [edge], [edge]
+    for _ in range(5):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+@pytest.mark.parametrize("value", [0.0, 0.171, -0.5, 3.0, 1e6, -1e6, 1e15])
+def test_count_violations_follows_the_bound_entry_rule(value):
+    near = boundary_measures(value)
+    far = [1e20, -1e20, value * 1e13, -value * 1e13, 1e-300, float("nan")]
+    measures = np.array(near + far)
+    verdicts = [_bound_entry("b", value, m).satisfied for m in measures.tolist()]
+    assert True in verdicts[: len(near)] and False in verdicts[: len(near)]
+    assert scan_kernel.count_violations(measures, [value]) == verdicts.count(False)
+    for m, ok in zip(measures, verdicts):
+        assert scan_kernel.count_violations(m[None], [value]) == (not ok)
+
+
+def test_count_violations_counts_each_measure_once():
+    values = [0.171, 0.172, 0.0]
+    measures = np.array(boundary_measures(0.171) + boundary_measures(0.0) + [float("nan")])
+    bad = [
+        not all(_bound_entry("b", v, m).satisfied for v in values) for m in measures.tolist()
+    ]
+    assert scan_kernel.count_violations(measures, values) == sum(bad)
 
 
 @st.composite

@@ -15,10 +15,9 @@ from oddspectrum import (
     eigenvalues,
     odd_girth,
     petersen_graph,
-    trace_powers,
 )
 from oddspectrum.graph_core import Graph
-from util import jacobi_eigenvalues, random_graph, signless_laplacian_min_eig
+from util import jacobi_eigenvalues, random_graph, signless_laplacian_min_eig, trace_powers
 
 PETERSEN_SPECTRUM = (3.0,) + (1.0,) * 5 + (-2.0,) * 4
 

@@ -68,6 +68,26 @@ def two_colorable(g: Graph) -> bool:
     return True
 
 
+def trace_powers(g: Graph, j_max: int) -> list[int]:
+    """Exact traces [Tr(A^1), ..., Tr(A^j_max)] via arbitrary-precision ints.
+
+    Tr(A^j) counts closed walks of length j; Python integers make overflow
+    impossible, so the counts are exact at any size.
+    """
+    if j_max < 1:
+        raise ValueError(f"power must be at least 1, got {j_max}")
+    n = g.n
+    adj = g.neighbors()
+    power = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        power[u][v] = power[v][u] = 1
+    traces = [sum(power[i][i] for i in range(n))]
+    for _ in range(j_max - 1):
+        power = [[sum(row[u] for u in adj[v]) for v in range(n)] for row in power]
+        traces.append(sum(power[i][i] for i in range(n)))
+    return traces
+
+
 @dataclass
 class _ReportFold:
     """One row of the per-graph scan: reports are folded in as they arrive
