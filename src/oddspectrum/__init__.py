@@ -47,7 +47,6 @@ from .graph_core import (
 )
 from .odd_poly import (
     FactoredOddPolynomial,
-    OddPolynomial,
     chebyshev_T,
     chebyshev_T_recurrence,
     high_lambda1_polynomial,

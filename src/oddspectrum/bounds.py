@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 from .errors import GirthViolationError, HypothesisError, require_odd_k
 from .graph_core import MAX_GRAPH6_VERTICES, Graph, encode_graph6, odd_girth
@@ -177,6 +178,19 @@ def _bound_entry(name: str, value: float, measure: float) -> BoundEntry:
     )
 
 
+def count_violations(measures, values: Sequence[float]) -> int:
+    """How many of a numpy array of measures exceed one of the bound values,
+    by the rule of _bound_entry vectorised: a measure satisfies a value when
+    measure <= value + 1e-12 * max(1, |value|, |measure|)."""
+    import numpy as np  # here, so that importing bounds loads no numpy
+
+    bad = np.zeros(len(measures), bool)
+    for value in values:
+        tol = COMPARISON_RTOL * np.maximum(max(1.0, abs(value)), np.abs(measures))
+        bad |= ~(measures <= value + tol)
+    return int(bad.sum())
+
+
 def _inapplicable(description: str, relation: str = "<=") -> ChainCheck:
     return ChainCheck(
         description=description, left=None, relation=relation, right=None, satisfied=None
@@ -190,9 +204,6 @@ def _odd_trace_chain(g: Graph, k: int) -> ChainCheck:
     Tr(A^(k-2)), counted in exact integers only when the gate fails."""
     import numpy as np  # here, so that importing bounds loads no numpy
 
-    # scan_kernel imports COMPARISON_RTOL from this module at load time, so
-    # the two import each other; this late import is what keeps that working.
-    # The odd-walk gate itself uses nothing from bounds.
     from . import scan_kernel
 
     adj = scan_kernel.graph_adjacency(g.n, [g])

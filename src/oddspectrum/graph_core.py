@@ -7,7 +7,6 @@ graph's vertices and edges are fixed at construction.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterable, Iterator
 
 from .errors import Graph6ParseError, UnsupportedSizeError
@@ -119,32 +118,32 @@ def blow_up(g: Graph, m: int) -> Graph:
 def odd_girth(g: Graph) -> float:
     """Length of the shortest odd cycle; INFINITE when the graph is bipartite.
 
-    BFS on the bipartite double cover: the shortest odd closed walk through v
-    has length dist((v, even), (v, odd)), and a shortest odd closed walk is
-    always an odd cycle. Total cost O(n(n+m)).
+    BFS by levels from every root. An edge whose two ends are both at depth d
+    closes an odd walk of length 2d + 1 through the root, and an odd closed
+    walk contains an odd cycle no longer than it. Conversely a shortest odd
+    cycle C is isometric: a path in G between two of its vertices, shorter
+    than their distance along C, would close with one of C's two arcs (their
+    lengths differ in parity) a shorter odd walk. So from any vertex of C the
+    edge opposite it joins two vertices at depth (|C| - 1)/2. A root stops
+    once 2d + 1 reaches the best length found. Total cost O(n(n+m)).
     """
     adj = g.neighbors()
     n = g.n
     best = INFINITE
-    for start in range(n):
-        # State v*2 + parity in the double cover; BFS from (start, 0).
-        dist = [-1] * (2 * n)
-        dist[2 * start] = 0
-        queue = deque([2 * start])
-        while queue:
-            state = queue.popleft()
-            d = dist[state]
-            if d + 1 >= best:
-                continue
-            v, parity = state >> 1, state & 1
-            for w in adj[v]:
-                nxt = (w << 1) | (parity ^ 1)
-                if dist[nxt] < 0:
-                    dist[nxt] = d + 1
-                    queue.append(nxt)
-        d_odd = dist[2 * start + 1]
-        if d_odd >= 0 and d_odd < best:
-            best = d_odd
+    for root in range(n):
+        depth = [-1] * n
+        depth[root] = 0
+        level, d = [root], 0
+        while level and 2 * d + 1 < best:
+            below = []
+            for v in level:
+                for w in adj[v]:
+                    if depth[w] < 0:
+                        depth[w] = d + 1
+                        below.append(w)
+                    elif depth[w] == d:
+                        best = 2 * d + 1
+            level, d = below, d + 1
     return best
 
 

@@ -1,5 +1,5 @@
-"""Odd polynomials, Chebyshev polynomials of the first kind, and the
-spectrum-dependent certificate polynomial used in the high-lambda1 regime.
+"""Chebyshev polynomials of the first kind and the spectrum-dependent
+certificate polynomial used in the high-lambda1 regime.
 """
 
 from __future__ import annotations
@@ -12,50 +12,10 @@ from .spectral import Spectrum
 
 
 @dataclass(frozen=True)
-class OddPolynomial:
-    """Polynomial with only odd-exponent monomials: coeffs[i] multiplies x^(2i+1).
-
-    Trailing zero coefficients are stripped on construction, so degree is
-    determined by the stored tuple. satisfies p(-x) = -p(x) identically.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = [float(c) for c in self.coeffs]
-        while vals and vals[-1] == 0.0:
-            vals.pop()
-        object.__setattr__(self, "coeffs", tuple(vals))
-
-    @property
-    def degree(self) -> int:
-        """Highest odd exponent with a nonzero coefficient; -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return 2 * len(self.coeffs) - 1
-
-    def evaluate(self, x: float) -> float:
-        """Horner evaluation in x^2, multiplied by x."""
-        y = x * x
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * y + c
-        return acc * x
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient: float = 1.0) -> "OddPolynomial":
-        if degree < 1 or degree % 2 == 0:
-            raise ValueError(f"monomial degree must be odd and positive, got {degree}")
-        coeffs = [0.0] * ((degree + 1) // 2)
-        coeffs[-1] = coefficient
-        return cls(tuple(coeffs))
-
-
-@dataclass(frozen=True)
 class FactoredOddPolynomial:
     """x^exponent * prod_r (x^2 - r^2)^2, kept in factored form.
 
-    Same evaluation contract as OddPolynomial, without ever expanding the
+    evaluate(x) is the product at x, computed without ever expanding the
     coefficients. exponent must be odd so the whole product is odd.
     """
 

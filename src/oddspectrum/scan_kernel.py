@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import COMPARISON_RTOL
 from .errors import ConvergenceError, require_odd_k
 from .graph_core import Graph
 
@@ -84,12 +83,3 @@ def measures(adj: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"eigensolver failed on {len(adj)} graphs: {exc}") from exc
     return (vals[:, -1] + vals[:, 0]) / adj.shape[-1]
 
-
-def count_violations(measures: np.ndarray, values: Sequence[float]) -> int:
-    """How many measures exceed one of the bound values, by the rule of
-    bounds._bound_entry: measure <= value + 1e-12 * max(1, |value|, |measure|)."""
-    bad = np.zeros(len(measures), bool)
-    for value in values:
-        tol = COMPARISON_RTOL * np.maximum(max(1.0, abs(value)), np.abs(measures))
-        bad |= ~(measures <= value + tol)
-    return int(bad.sum())

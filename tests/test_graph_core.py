@@ -22,7 +22,13 @@ from oddspectrum import (
     parse_graph6,
     petersen_graph,
 )
-from util import brute_force_odd_girth, random_graph, reference_graph6, two_colorable
+from util import (
+    brute_force_odd_girth,
+    random_graph,
+    reference_graph6,
+    trace_powers,
+    two_colorable,
+)
 
 # Derandomized and without an example database: every run tries the same cases.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -136,6 +142,31 @@ def test_odd_girth_matches_bruteforce():
     for _ in range(150):
         g = random_graph(rng, rng.randint(0, 7), p=rng.choice([0.2, 0.4, 0.6]))
         assert odd_girth(g) == brute_force_odd_girth(g)
+
+
+@st.composite
+def odd_cycles_with_chords(draw):
+    """An odd cycle of length 9..39, pendant vertices hung on it up to n <= 40,
+    then up to three random chords, all relabelled."""
+    length = 2 * draw(st.integers(4, 19)) + 1
+    n = draw(st.integers(length, 40))
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    edges += [(v, draw(st.integers(0, v - 1))) for v in range(length, n)]
+    vertex = st.integers(0, n - 1)
+    edges += [(u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3)) if u != v]
+    label = draw(st.permutations(range(n)))
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(odd_cycles_with_chords())
+def test_odd_girth_is_first_nonzero_odd_trace(g):
+    # Past brute-force sizes: the shortest odd closed walk, from exact traces,
+    # is the odd girth, and a blow-up keeps it.
+    traces = trace_powers(g, g.n)
+    expected = next((j for j in range(1, g.n + 1, 2) if traces[j - 1]), INFINITE)
+    assert odd_girth(g) == expected
+    assert odd_girth(blow_up(g, 2)) == expected
 
 
 def test_odd_girth_infinite_iff_two_colorable():

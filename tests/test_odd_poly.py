@@ -1,4 +1,4 @@
-"""Odd polynomials, Chebyshev evaluation, and the certificate polynomial."""
+"""The factored odd polynomial, Chebyshev evaluation, and the certificate polynomial."""
 
 import math
 import random
@@ -8,7 +8,6 @@ import pytest
 from oddspectrum import (
     FactoredOddPolynomial,
     HypothesisError,
-    OddPolynomial,
     Spectrum,
     chebyshev_T,
     chebyshev_T_recurrence,
@@ -20,44 +19,43 @@ from oddspectrum import (
 )
 
 
+def expanded(coeffs, x):
+    """sum_i coeffs[i] * x^(2i + 1): an odd polynomial from its coefficients."""
+    return sum(c * x ** (2 * i + 1) for i, c in enumerate(coeffs))
+
+
 def test_evaluate_monomial():
-    cube = OddPolynomial.monomial(3)
+    cube = FactoredOddPolynomial(exponent=3, roots=())
     assert cube.evaluate(2.0) == 8.0
     assert cube.evaluate(0.0) == 0.0
     assert cube.degree == 3
+    with pytest.raises(ValueError):
+        FactoredOddPolynomial(exponent=4, roots=())
 
 
 def test_evaluate_matches_chebyshev_t3():
-    t3 = OddPolynomial((-3.0, 4.0))  # 4x^3 - 3x
-    assert abs(t3.evaluate(0.5) + 1.0) < 1e-12
+    assert abs(chebyshev_T(3, 0.5) + 1.0) < 1e-12
     for x in (-1.7, -0.25, 0.0, 0.4, 2.0):
-        assert abs(t3.evaluate(x) - chebyshev_T(3, x)) < 1e-12 * max(1, abs(x) ** 3)
+        assert abs(expanded((-3.0, 4.0), x) - chebyshev_T(3, x)) < 1e-12 * max(1, abs(x) ** 3)
 
 
 def test_odd_symmetry():
     rng = random.Random(97)
     for _ in range(20):
-        coeffs = tuple(rng.uniform(-3, 3) for _ in range(rng.randint(1, 6)))
-        p = OddPolynomial(coeffs)
+        p = FactoredOddPolynomial(
+            exponent=rng.randrange(1, 12, 2),
+            roots=tuple(rng.uniform(-3, 3) for _ in range(rng.randint(0, 3))),
+        )
         for _ in range(50):
             x = rng.uniform(-5, 5)
             assert p.evaluate(-x) == pytest.approx(-p.evaluate(x), abs=1e-10)
 
 
-def test_trailing_zeros_stripped():
-    p = OddPolynomial((1.0, 0.0, 0.0))
-    assert p.coeffs == (1.0,)
-    assert p.degree == 1
-    assert OddPolynomial(()).degree == -1
-    with pytest.raises(ValueError):
-        OddPolynomial.monomial(4)
-
-
 def test_factored_polynomial_contract():
     factored = FactoredOddPolynomial(exponent=3, roots=(1.0,))
-    expanded = OddPolynomial((0.0, 1.0, -2.0, 1.0))  # x^3 (x^2 - 1)^2
+    coeffs = (0.0, 1.0, -2.0, 1.0)  # x^3 (x^2 - 1)^2
     for x in (-2.0, -1.0, -0.3, 0.0, 0.5, 1.0, 3.0):
-        assert factored.evaluate(x) == pytest.approx(expanded.evaluate(x), rel=1e-12, abs=1e-12)
+        assert factored.evaluate(x) == pytest.approx(expanded(coeffs, x), rel=1e-12, abs=1e-12)
     assert factored.degree == 7
     assert factored.evaluate(1.0) == 0.0 and factored.evaluate(-1.0) == 0.0
     with pytest.raises(ValueError):
@@ -97,10 +95,10 @@ def test_chebyshev_lower_bound_and_parity():
 
 def test_spectrum_sum_examples():
     c7 = eigenvalues(cycle_graph(7))
-    assert abs(math.fsum(OddPolynomial.monomial(3).evaluate(v) for v in c7.values)) < 1e-6
-    assert abs(math.fsum(OddPolynomial((1.0, -2.0, 1.0)).evaluate(v) for v in c7.values)) < 1e-6
+    assert abs(math.fsum(v**3 for v in c7.values)) < 1e-6
+    assert abs(math.fsum(expanded((1.0, -2.0, 1.0), v) for v in c7.values)) < 1e-6
     k3 = eigenvalues(cycle_graph(3))
-    assert math.fsum(OddPolynomial.monomial(3).evaluate(v) for v in k3.values) == pytest.approx(6.0, abs=1e-6)
+    assert math.fsum(v**3 for v in k3.values) == pytest.approx(6.0, abs=1e-6)
 
 
 def test_random_odd_polynomials_sum_to_zero_below_girth():
@@ -113,10 +111,9 @@ def test_random_odd_polynomials_sum_to_zero_below_girth():
         max_terms = (k - 2 + 1) // 2
         for _ in range(20):
             coeffs = tuple(rng.uniform(-2, 2) for _ in range(rng.randint(1, max_terms)))
-            p = OddPolynomial(coeffs)
-            p_abs = OddPolynomial(tuple(abs(c) for c in coeffs))
-            scale = sum(p_abs.evaluate(abs(v)) for v in s.values)
-            assert abs(math.fsum(p.evaluate(v) for v in s.values)) <= 1e-6 * max(1.0, scale)
+            abs_coeffs = tuple(abs(c) for c in coeffs)
+            scale = sum(expanded(abs_coeffs, abs(v)) for v in s.values)
+            assert abs(math.fsum(expanded(coeffs, v) for v in s.values)) <= 1e-6 * max(1.0, scale)
 
 
 def test_threshold_partition_examples():
@@ -152,9 +149,8 @@ def test_certificate_polynomial_expanded_example():
     p = high_lambda1_polynomial(Spectrum((2.0, 0.0, -1.0)), 9)
     assert p == FactoredOddPolynomial(exponent=3, roots=(1.0,))  # x^3 (x^2 - 1)^2
     assert p.degree == 7
-    expanded = OddPolynomial((0.0, 1.0, -2.0, 1.0))
     for x in (-2.0, -1.0, -0.3, 0.0, 0.5, 1.0, 3.0):
-        assert p.evaluate(x) == pytest.approx(expanded.evaluate(x), rel=1e-12, abs=1e-12)
+        assert p.evaluate(x) == pytest.approx(expanded((0.0, 1.0, -2.0, 1.0), x), rel=1e-12, abs=1e-12)
     assert p.evaluate(1.0) == 0.0 and p.evaluate(-1.0) == 0.0
 
 
