@@ -6,6 +6,7 @@ graph's vertices and edges are fixed at construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Iterator
 
@@ -30,7 +31,7 @@ class Graph:
     out-of-range endpoints are rejected. Duplicate edges collapse.
     """
 
-    __slots__ = ("n", "edges", "_neighbors")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -44,22 +45,11 @@ class Graph:
             normalized.add((u, v) if u < v else (v, u))
         self.n = int(n)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
-        self._neighbors: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def m(self) -> int:
         """Number of edges."""
         return len(self.edges)
-
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Adjacency lists, built once on first use."""
-        if self._neighbors is None:
-            adj: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._neighbors = tuple(tuple(sorted(a)) for a in adj)
-        return self._neighbors
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,32 +108,79 @@ def blow_up(g: Graph, m: int) -> Graph:
 def odd_girth(g: Graph) -> float:
     """Length of the shortest odd cycle; INFINITE when the graph is bipartite.
 
-    BFS by levels from every root. An edge whose two ends are both at depth d
-    closes an odd walk of length 2d + 1 through the root, and an odd closed
-    walk contains an odd cycle no longer than it. Conversely a shortest odd
-    cycle C is isometric: a path in G between two of its vertices, shorter
-    than their distance along C, would close with one of C's two arcs (their
-    lengths differ in parity) a shorter odd walk. So from any vertex of C the
-    edge opposite it joins two vertices at depth (|C| - 1)/2. A root stops
-    once 2d + 1 reaches the best length found. Total cost O(n(n+m)).
+    First a BFS by levels from one root per component. An edge whose two ends
+    are both at depth d closes an odd walk of length 2d + 1 through the root,
+    and an odd closed walk contains an odd cycle no longer than itself, so the
+    shortest such walk bounds the odd girth from above. Along an edge the
+    depth changes by at most one, and the changes sum to zero around a cycle,
+    so every odd cycle has an edge within a level: a component without one is
+    bipartite. One end of each such edge becomes a source, so every shortest
+    odd cycle passes through a source. A graph without sources, or with the
+    bound 3, needs nothing more.
+
+    Then a BFS from every source at once, on walk sets, over the components
+    that hold a source. W_d[v] is the set of sources with a walk of length
+    exactly d to v, packed as ceil(sources/64) uint64 words per vertex:
+    W_0[s] = {s}, and W_{d+1}[v] is the union of W_d[u] over the neighbours u
+    of v. A shortest odd cycle is a closed walk of its own length from each of
+    its vertices, so the first odd d at which some source s lies in W_d[s] is
+    the odd girth. Levels run up to the bound less two; with no hit there,
+    the bound is the odd girth. Vertices are relabelled by degree, descending,
+    so the vertices with more than j neighbours form a prefix and slot j ORs
+    in their j-th neighbours' rows in place. The first pass costs O(n + m);
+    each level ORs 2m rows, so the second costs O(girth * 2m *
+    ceil(sources/64)) word operations.
     """
-    adj = g.neighbors()
     n = g.n
-    best = INFINITE
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    best, sources, kept = INFINITE, set(), []
+    depth = [-1] * n
     for root in range(n):
-        depth = [-1] * n
+        if depth[root] >= 0:
+            continue
         depth[root] = 0
-        level, d = [root], 0
-        while level and 2 * d + 1 < best:
+        component, level, d, found = [root], [root], 0, len(sources)
+        while level:
             below = []
             for v in level:
                 for w in adj[v]:
                     if depth[w] < 0:
                         depth[w] = d + 1
                         below.append(w)
-                    elif depth[w] == d:
-                        best = 2 * d + 1
+                    elif depth[w] == d and w not in sources:
+                        sources.add(v)
+                        best = min(best, 2 * d + 1)
+            component += below
             level, d = below, d + 1
+        if len(sources) > found:
+            kept += component
+    if best == 3 or not sources:  # nothing is shorter than a triangle
+        return best
+
+    import numpy as np  # here, so that importing graph_core loads no numpy
+
+    kept.sort(key=lambda v: -len(adj[v]))
+    label = [0] * n
+    for i, v in enumerate(kept):
+        label[v] = i
+    # Slot j: the j-th neighbours of the vertices of degree > j, a prefix.
+    columns = itertools.zip_longest(*([label[w] for w in adj[v]] for v in kept))
+    slots = [np.array([w for w in column if w is not None]) for column in columns]
+    words = -(-len(sources) // 64)
+    own = np.array([label[s] * words + (i >> 6) for i, s in enumerate(sorted(sources))])
+    bits = np.array([1 << (i & 63) for i in range(len(sources))], dtype=np.uint64)
+    walks = np.zeros((len(kept), words), dtype=np.uint64)
+    walks.flat[own] = bits
+    for d in range(1, best - 1):
+        after = walks[slots[0]]
+        for neighbour in slots[1:]:
+            after[: len(neighbour)] |= walks[neighbour]
+        walks = after
+        if d % 2 and (walks.take(own) & bits).any():
+            return d
     return best
 
 

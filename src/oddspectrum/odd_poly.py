@@ -55,13 +55,19 @@ def chebyshev_T_recurrence(j: int, x: float) -> float:
 def chebyshev_T(j: int, x: float) -> float:
     """Chebyshev polynomial of the first kind, stable on the whole real line.
 
-    Inside [-1, 1] the recurrence is used directly. For x > 1 the closed form
-    ((x + sqrt(x^2-1))^j + (x - sqrt(x^2-1))^j) / 2 is evaluated with the
-    second term as a reciprocal power, avoiding the subtractive cancellation.
+    At x = +-1 the value is (+-1)^j, which the recurrence also gives exactly,
+    without the j steps. Inside (-1, 1) the recurrence is used directly. For
+    x > 1 the closed form ((x + sqrt(x^2-1))^j + (x - sqrt(x^2-1))^j) / 2 is
+    evaluated with the second term as a reciprocal power, avoiding the
+    subtractive cancellation.
     x < -1 reduces by parity T_j(-x) = (-1)^j T_j(x).
     """
     if j < 0:
         raise ValueError(f"order must be non-negative, got {j}")
+    if x == 1.0:
+        return 1.0
+    if x == -1.0:
+        return -1.0 if j % 2 else 1.0
     if x > 1.0:
         u = x + math.sqrt(x * x - 1.0)
         return 0.5 * (u**j + u**-j)

@@ -24,6 +24,8 @@ from oddspectrum import (
 )
 from util import (
     brute_force_odd_girth,
+    level_bfs_odd_girth,
+    neighbors,
     random_graph,
     reference_graph6,
     trace_powers,
@@ -65,7 +67,7 @@ def test_graph_normalizes_and_validates():
     g = Graph(3, [(2, 0), (0, 2), (1, 2)])
     assert g.edges == ((0, 2), (1, 2))
     assert g.m == 2
-    assert 2 in g.neighbors()[0] and 1 not in g.neighbors()[0]
+    assert 2 in neighbors(g)[0] and 1 not in neighbors(g)[0]
     with pytest.raises(ValueError):
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
@@ -77,7 +79,7 @@ def test_graph_normalizes_and_validates():
 def test_cycle_graph_shapes():
     g = cycle_graph(3)
     assert g.m == 3
-    assert all(len(a) == 2 for a in cycle_graph(7).neighbors())
+    assert all(len(a) == 2 for a in neighbors(cycle_graph(7)))
     with pytest.raises(ValueError):
         cycle_graph(2)
 
@@ -174,6 +176,88 @@ def test_odd_girth_infinite_iff_two_colorable():
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 8), p=0.35)
         assert (odd_girth(g) == INFINITE) == two_colorable(g)
+
+
+@st.composite
+def mixed_graphs(draw):
+    """One to four components, each random, random bipartite or a cycle, then
+    up to 20 isolated vertices (n <= 140), all relabelled."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, edges = 0, []
+    for _ in range(rng.randint(1, 4)):
+        size = rng.randint(1, 30)
+        kind = rng.choice(["random", "bipartite", "cycle"])
+        if kind == "cycle":
+            pairs = [(i, (i + 1) % size) for i in range(size)] if size >= 3 else []
+        else:
+            p = rng.choice([1.0, 1.5, 2.5, 8.0]) / size  # mean degree / size
+            half = size // 2 if kind == "bipartite" else 0
+            pairs = [(u, v) for u in range(size) for v in range(max(u + 1, half), size)]
+            pairs = [pair for pair in pairs if rng.random() < p]
+        edges += [(n + u, n + v) for u, v in pairs]
+        n += size
+    n += rng.randint(0, 20)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@PROPERTY
+@given(mixed_graphs())
+def test_odd_girth_matches_level_bfs(g):
+    assert odd_girth(g) == level_bfs_odd_girth(g)
+
+
+@pytest.mark.parametrize("pad", [0, 1, 65])
+@pytest.mark.parametrize("length", [63, 64, 65, 127, 128, 129])
+def test_odd_girth_cycles_at_word_boundaries(length, pad):
+    # The cycle sits on vertices pad..pad+length-1, after pad isolated ones.
+    g = Graph(pad + length, [(pad + i, pad + (i + 1) % length) for i in range(length)])
+    assert odd_girth(g) == (length if length % 2 else INFINITE)
+
+
+@pytest.mark.parametrize("n", [0, 1, 70])
+def test_odd_girth_edgeless(n):
+    assert odd_girth(Graph(n)) == INFINITE
+
+
+@pytest.mark.parametrize("centre", [0, 151])
+def test_odd_girth_skewed_degrees(centre):
+    # K_{1,150} beside a C_9 on vertices 151..159, or centred on one of them.
+    star = [(centre, leaf) for leaf in range(1, 151)]
+    nine = [(151 + i, 151 + (i + 1) % 9) for i in range(9)]
+    assert odd_girth(Graph(160, star + nine)) == 9
+
+
+def test_odd_girth_long_path_is_bipartite():
+    assert odd_girth(Graph(300, [(i, i + 1) for i in range(299)])) == INFINITE
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("where", [0, -1])
+def test_odd_girth_sources_at_word_boundaries(count, where):
+    # count components, each a pendant vertex on an odd cycle: one source per
+    # cycle, so the walk sets take ceil(count/64) words. The BFS from the
+    # pendant vertex bounds a C_5 by 7 and a C_7 by 9, so only the walk sets
+    # find the one C_5, whose source is the first or the last.
+    lengths = [7] * count
+    lengths[where] = 5
+    edges, n = [], 0
+    for length in lengths:
+        edges.append((n, n + 1))
+        edges += [(n + 1 + i, n + 1 + (i + 1) % length) for i in range(length)]
+        n += length + 1
+    assert odd_girth(Graph(n, edges)) == 5
+
+
+def test_odd_girth_many_sources_in_one_component():
+    # Sparse random graphs on 300 vertices have well over 64 sources, several
+    # of them at odd distances shorter than the odd girth: a source's bit in
+    # the wrong word of its row would read as a hit.
+    rng = random.Random(5)
+    for degree in (4, 5, 6):
+        g = random_graph(rng, 300, degree / 300)
+        assert odd_girth(g) == level_bfs_odd_girth(g)
 
 
 def test_parse_graph6_known_values():

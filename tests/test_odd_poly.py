@@ -72,6 +72,16 @@ def test_chebyshev_at_one_and_frozen_value():
         chebyshev_T(-1, 0.5)
 
 
+def test_chebyshev_at_the_interval_ends_matches_the_recurrence():
+    # The ends return (+-1)^j without running the recurrence, which gives
+    # exactly these values; analyze at k = 10^7 + 1 asks for T_j(1.0).
+    for j in range(3000):
+        for x in (1.0, -1.0):
+            assert chebyshev_T(j, x) == chebyshev_T_recurrence(j, x)
+    assert chebyshev_T(10**7, 1.0) == 1.0
+    assert chebyshev_T(10**7 + 1, -1.0) == -1.0
+
+
 def test_chebyshev_recurrence_vs_closed_form():
     xs = [1.0 + 9.0 * i / 99 for i in range(100)]
     for j in range(100):

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from oddspectrum import (
+    INFINITE,
     CertificateReport,
     ConvergenceError,
     GirthViolationError,
@@ -23,6 +24,15 @@ from oddspectrum.cli import ScanRow, ScanSummary
 JACOBI_MAX_SWEEPS = 100
 
 
+def neighbors(g: Graph) -> list[tuple[int, ...]]:
+    """Sorted adjacency lists, built from g.edges."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [tuple(sorted(a)) for a in adj]
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -32,7 +42,7 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 
 def brute_force_odd_girth(g: Graph, limit: int | None = None) -> float:
     """Shortest odd cycle by direct enumeration of simple cycles."""
-    adj = [set(nbrs) for nbrs in g.neighbors()]
+    adj = [set(nbrs) for nbrs in neighbors(g)]
     top = g.n if limit is None else min(limit, g.n)
     for length in range(3, top + 1, 2):
         for subset in itertools.combinations(range(g.n), length):
@@ -48,9 +58,41 @@ def brute_force_odd_girth(g: Graph, limit: int | None = None) -> float:
     return math.inf
 
 
+def level_bfs_odd_girth(g: Graph) -> float:
+    """Length of the shortest odd cycle; INFINITE when the graph is bipartite.
+
+    BFS by levels from every root. An edge whose two ends are both at depth d
+    closes an odd walk of length 2d + 1 through the root, and an odd closed
+    walk contains an odd cycle no longer than it. Conversely a shortest odd
+    cycle C is isometric: a path in G between two of its vertices, shorter
+    than their distance along C, would close with one of C's two arcs (their
+    lengths differ in parity) a shorter odd walk. So from any vertex of C the
+    edge opposite it joins two vertices at depth (|C| - 1)/2. A root stops
+    once 2d + 1 reaches the best length found. Total cost O(n(n+m)).
+    """
+    adj = neighbors(g)
+    n = g.n
+    best = INFINITE
+    for root in range(n):
+        depth = [-1] * n
+        depth[root] = 0
+        level, d = [root], 0
+        while level and 2 * d + 1 < best:
+            below = []
+            for v in level:
+                for w in adj[v]:
+                    if depth[w] < 0:
+                        depth[w] = d + 1
+                        below.append(w)
+                    elif depth[w] == d:
+                        best = 2 * d + 1
+            level, d = below, d + 1
+    return best
+
+
 def two_colorable(g: Graph) -> bool:
     """DFS 2-coloring, independent of the library's BFS implementation."""
-    adj = g.neighbors()
+    adj = neighbors(g)
     color = {}
     for start in range(g.n):
         if start in color:
@@ -77,7 +119,7 @@ def trace_powers(g: Graph, j_max: int) -> list[int]:
     if j_max < 1:
         raise ValueError(f"power must be at least 1, got {j_max}")
     n = g.n
-    adj = g.neighbors()
+    adj = neighbors(g)
     power = [[0] * n for _ in range(n)]
     for u, v in g.edges:
         power[u][v] = power[v][u] = 1
@@ -167,7 +209,7 @@ def dense_adjacency(g: Graph) -> np.ndarray:
     """Float adjacency matrix filled from the neighbour lists, not from the
     edge loop the library's eigensolver path uses."""
     a = np.zeros((g.n, g.n))
-    for v, nbrs in enumerate(g.neighbors()):
+    for v, nbrs in enumerate(neighbors(g)):
         a[v, list(nbrs)] = 1.0
     return a
 
@@ -226,7 +268,7 @@ def signless_laplacian_min_eig(g: Graph) -> float:
     if g.n < 1:
         raise ValueError("signless Laplacian undefined for the empty vertex set")
     matrix = dense_adjacency(g)
-    matrix[np.diag_indices(g.n)] = [len(a) for a in g.neighbors()]
+    matrix[np.diag_indices(g.n)] = [len(a) for a in neighbors(g)]
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
