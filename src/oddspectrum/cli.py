@@ -1,9 +1,10 @@
 """Command-line interface: per-graph certificates, corpus scans, bound tables,
 and the k = 5 relaxation experiment.
 
-Exit codes: 0 success, 1 a verified check failed, 2 input error,
-3 precondition or girth violation, 4 internal numerical failure. Commands
-raise; main alone turns a ValueError or ConvergenceError into code 2, 3 or 4.
+Exit codes: 0 success, 1 a verified check failed (or stdout was closed
+early), 2 input error, 3 precondition or girth violation, 4 internal
+numerical failure. Commands raise; main alone turns a ValueError or
+ConvergenceError into code 2, 3 or 4.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
@@ -445,7 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma5", help="run the k = 5 relaxation experiment")
     p.add_argument("--eps", default="0.1,0.01,0.001", help="comma-separated epsilons")
-    p.add_argument("--s-max", type=float, default=100.0, dest="s_max")
+    p.add_argument(
+        "--s-max",
+        type=float,
+        default=100.0,
+        dest="s_max",
+        help="right end of the objective search over [1, S_MAX] (>= 15); the "
+        "search stops at s = 26, so larger values cost nothing more",
+    )
     p.add_argument("--samples", type=int, default=1000, help="grid samples per unit interval")
     p.set_defaults(func=cmd_gamma5)
 
@@ -462,7 +471,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away (`oddspectrum ... | head`). Python flushes
+        # stdout again on exit, so point it at devnull before leaving.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

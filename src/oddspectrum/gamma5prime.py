@@ -42,6 +42,12 @@ def objective_g(s: float) -> float:
     return (1.0 - fs ** (-1.0 / 3.0)) / (1.0 + s * fs ** (-2.0 / 3.0))
 
 
+def interval_bound(m: int) -> float:
+    """(1 - (m+1)^(-1/3)) / (1 + m (m+1)^(-2/3)): an upper bound on the
+    objective over [m, m+1], where s >= m and f(s) <= m + 1."""
+    return (1.0 - (m + 1) ** (-1.0 / 3.0)) / (1.0 + m * (m + 1) ** (-2.0 / 3.0))
+
+
 def maximize_objective(
     s_max: float, per_interval_samples: int
 ) -> tuple[float, float]:
@@ -52,6 +58,15 @@ def maximize_objective(
     point. The maximum sits at the kink s = 14 (s_max >= 15 keeps it in
     range): the objective rises into 14 and falls just after it, so no
     refinement between grid points could beat the sample there.
+
+    The scan stops at the first interval [m, m+1] whose interval_bound U(m)
+    cannot beat the best grid value so far. With x = (m+1)^(1/3),
+    U = x(x-1)/(x^3 + x^2 - 1), and dU/dx has the sign of
+    -x^4 + 2x^3 + x^2 - 2x + 1, negative for x >= 2.2; so U strictly
+    decreases from m = 10 on and no later interval can beat it either. The
+    1e-9 margin covers rounding in U and in the objective. Intervals that
+    are scanned keep the full grid's points and order, so the result is
+    bit-identical to the full grid over [1, s_max], whatever s_max is.
     """
     if not (math.isfinite(s_max) and s_max >= 15):
         raise ValueError(f"s_max must be finite and at least 15, got {s_max}")
@@ -63,6 +78,8 @@ def maximize_objective(
     best_s, best_v = 1.0, objective_g(1.0)
     m = 1
     while m < s_max:
+        if m >= 10 and interval_bound(m) * (1.0 + 1e-9) <= best_v:
+            break
         a = float(m)
         b = min(float(m + 1), s_max)
         step = (b - a) / per_interval_samples

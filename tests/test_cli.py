@@ -1,6 +1,10 @@
 """CLI behavior: commands, formats, exit codes, and scan determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from oddspectrum import (
     encode_graph6,
 )
 from oddspectrum.cli import main, scan_graphs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -292,6 +298,29 @@ def test_gamma5_report(capsys):
     assert "s_star = 14" in out
     assert "satisfied   = True" in out
     assert "csikvari" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_1_without_traceback(unbuffered):
+    # `oddspectrum gamma5 ... | head`, with the reader gone before the first
+    # line: unbuffered, the first print fails; buffered, the final flush does.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+    argv = ["gamma5", "--s-max", "1e300", "--samples", "100", "--eps", "0.1"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddspectrum.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""  # no traceback, no "Exception ignored" note
+    assert proc.returncode == 1
 
 
 def test_gamma5_validation(capsys):

@@ -5,7 +5,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oddspectrum.gamma5prime as gamma5prime
 from oddspectrum import (
     InfeasibleError,
     Spectrum,
@@ -24,8 +27,8 @@ from oddspectrum import (
     power_sum_max_closed_form,
     solve_simple,
 )
-from oddspectrum.gamma5prime import MAX_SEQUENCE_LENGTH
-from util import power_sum_max_bruteforce
+from oddspectrum.gamma5prime import MAX_SEQUENCE_LENGTH, interval_bound
+from util import full_grid_max, power_sum_max_bruteforce
 
 
 def test_f_of_s_values():
@@ -87,6 +90,54 @@ def test_maximize_objective_validation():
     for s_max in (math.nan, math.inf):
         with pytest.raises(ValueError):
             maximize_objective(s_max, 1000)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    s_max=st.one_of(
+        st.floats(min_value=15.0, max_value=60.0),
+        st.integers(min_value=15, max_value=60).map(float),
+    ),
+    samples=st.integers(min_value=100, max_value=500),
+)
+def test_maximize_objective_equals_full_grid(s_max, samples):
+    assert maximize_objective(s_max, samples) == full_grid_max(s_max, samples)
+
+
+def test_maximize_objective_equals_full_grid_on_benchmark_grid():
+    assert maximize_objective(1000.0, 2000) == full_grid_max(1000.0, 2000)
+
+
+def test_maximize_objective_huge_s_max_stops_early(monkeypatch):
+    # The search stops at s = 26; a scan that walked the 1e300 intervals
+    # would trip the evaluation budget instead of hanging.
+    calls = 0
+
+    def counted(s):
+        nonlocal calls
+        calls += 1
+        assert calls <= 30 * 101, "objective search did not stop early"
+        return objective_g(s)
+
+    monkeypatch.setattr(gamma5prime, "objective_g", counted)
+    result = maximize_objective(1e300, 100)
+    assert result == (14.0, objective_g(14.0))
+    assert result == full_grid_max(30.0, 100)
+
+
+def test_interval_bound_dominates_objective():
+    for m in range(1, 2001):
+        bound = interval_bound(m)
+        for i in range(1001):
+            assert objective_g(m + i / 1000) <= bound, (m, i)
+
+
+def test_interval_bound_decreases_from_ten():
+    previous = interval_bound(10)
+    for m in range(11, 10**6 + 1):
+        current = interval_bound(m)
+        assert current < previous, m
+        previous = current
 
 
 def test_power_sum_closed_form():

@@ -47,6 +47,21 @@ def test_eigenvalues_petersen():
         assert abs((lam - 3.0) * (lam - 1.0) ** 5 * (lam + 2.0) ** 4) < 1e-6
 
 
+def test_eigenvalues_large_cycle_and_blow_up_closed_form():
+    # The 1e-9 accuracy the docstring claims, past the small graphs above.
+    c801 = eigenvalues(cycle_graph(801)).values
+    expected = sorted((2.0 * math.cos(2.0 * math.pi * j / 801) for j in range(801)), reverse=True)
+    assert max(abs(a - b) for a, b in zip(c801, expected)) < 1e-9
+
+    blown = eigenvalues(blow_up(cycle_graph(101), 3)).values
+    expected = sorted(
+        [3.0 * 2.0 * math.cos(2.0 * math.pi * j / 101) for j in range(101)] + [0.0] * 202,
+        reverse=True,
+    )
+    assert len(blown) == len(expected) == 303
+    assert max(abs(a - b) for a, b in zip(blown, expected)) < 1e-9
+
+
 def test_eigenvalues_degenerate_graphs():
     assert eigenvalues(Graph(0)).values == ()
     s = eigenvalues(Graph(4))

@@ -18,6 +18,7 @@ from oddspectrum import (
     InfeasibleError,
     Spectrum,
     certify,
+    objective_g,
 )
 from oddspectrum.cli import ScanRow, ScanSummary
 
@@ -371,3 +372,21 @@ def power_sum_max_bruteforce(
         if not improved:
             break
     return best_value
+
+
+def full_grid_max(s_max: float, per_interval_samples: int) -> tuple[float, float]:
+    """Argmax and max of the objective on every unit interval of [1, s_max],
+    each sampled on a uniform grid with both endpoints, with no early stop."""
+    best_s, best_v = 1.0, objective_g(1.0)
+    m = 1
+    while m < s_max:
+        a = float(m)
+        b = min(float(m + 1), s_max)
+        step = (b - a) / per_interval_samples
+        for i in range(per_interval_samples + 1):
+            s = a + i * step
+            v = objective_g(s)
+            if v > best_v:
+                best_s, best_v = s, v
+        m += 1
+    return best_s, best_v
