@@ -76,9 +76,11 @@ def _print_csv(header, rows) -> None:
 
 def _read_graph6_file(path: Path):
     """read_graph6_lines over a file. A byte that is not UTF-8 becomes a lone
-    surrogate, which parse_graph6 rejects as a non-ASCII byte of its line."""
+    surrogate, which parse_graph6 rejects as a non-ASCII byte of its line.
+    Lines end only at newlines (\n, \r\n or \r); str.splitlines would also
+    break at form feeds and other separators inside a line."""
     text = path.read_text(encoding="utf-8", errors="surrogateescape")
-    return read_graph6_lines(text.splitlines())
+    return read_graph6_lines(text.split("\n"))
 
 
 # ----------------------------- analyze ------------------------------------

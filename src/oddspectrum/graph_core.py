@@ -46,6 +46,18 @@ class Graph:
         self.n = int(n)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
 
+    @classmethod
+    def _from_canonical(cls, n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+        """The graph with exactly these edges, taken as given.
+
+        Only for parse_graph6, whose edges already are what __init__ would
+        make of them: a sorted tuple of distinct pairs (u, v), 0 <= u < v < n.
+        """
+        g = cls.__new__(cls)
+        g.n = n
+        g.edges = edges
+        return g
+
     @property
     def m(self) -> int:
         """Number of edges."""
@@ -191,6 +203,18 @@ def _upper_triangle_pairs(n: int) -> Iterator[tuple[int, int]]:
             yield u, v
 
 
+# The pairs of every n <= 62 in graph6 bit order. The order is column-major,
+# so the pairs of n are the first n(n-1)/2 entries: one table serves all n.
+# A larger n (multi-byte headers) needs only a longer table.
+_COLUMN_PAIRS = tuple(_upper_triangle_pairs(MAX_GRAPH6_VERTICES))
+# A graph6 data byte, 63..126, as its 6-bit value 0..63.
+_DATA_VALUE = bytes.maketrans(bytes(range(63, 127)), bytes(range(64)))
+# A 6-bit value as six bytes 0/1, most significant bit first; such six bytes
+# as their data character.
+_SIX_BITS = tuple(bytes(value >> shift & 1 for shift in range(5, -1, -1)) for value in range(64))
+_DATA_CHAR = {bits: chr(value + 63) for value, bits in enumerate(_SIX_BITS)}
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (single-byte size header, n <= 62).
 
@@ -200,6 +224,16 @@ def parse_graph6(text: str) -> Graph:
     Offsets count UTF-8 bytes, a lone surrogate from a byte that was not
     UTF-8 as one byte, so a non-ASCII space before the graph counts as the
     bytes it was read from.
+
+    The decode runs on byte tables. Once min and max show every data byte in
+    63..126 (a byte-by-byte scan runs only to name the first bad one),
+    translate maps each byte to its 6-bit value and a join of one 6-byte 0/1
+    chunk per value gives the bit string. Bit i stands for pair i of
+    _COLUMN_PAIRS; column-major order lists the pairs of n before any pair
+    with v >= n, so the n(n-1)/2 bits select this graph's edges from the one
+    table for n = 62. The selected pairs are distinct, have 0 <= u < v < n,
+    and come out sorted, so the Graph is built from them without the
+    validation and deduplication of Graph(n, edges).
     """
     start = len(text) - len(text.lstrip())
     if text.startswith(GRAPH6_HEADER_PREFIX, start):
@@ -230,37 +264,36 @@ def parse_graph6(text: str) -> Graph:
     if len(raw) - 1 > n_bytes:
         raise Graph6ParseError("trailing garbage after edge data", start + 1 + n_bytes)
 
-    bits: list[int] = []
-    for offset, byte in enumerate(raw[1:], start=start + 1):
-        if not 63 <= byte <= 126:
-            raise Graph6ParseError(f"non-printable data byte {byte}", offset)
-        value = byte - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
+    data = raw[1:]
+    if data and not (63 <= min(data) and max(data) <= 126):
+        for offset, byte in enumerate(data, start=start + 1):
+            if not 63 <= byte <= 126:
+                raise Graph6ParseError(f"non-printable data byte {byte}", offset)
+    bits = b"".join([_SIX_BITS[value] for value in data.translate(_DATA_VALUE)])
     if any(bits[n_bits:]):
         raise Graph6ParseError("nonzero padding bits", start + n_bytes)
 
-    edges = [pair for pair, bit in zip(_upper_triangle_pairs(n), bits) if bit]
-    return Graph(n, edges)
+    edges = tuple(sorted(itertools.compress(_COLUMN_PAIRS, bits[:n_bits])))
+    return Graph._from_canonical(n, edges)
 
 
 def encode_graph6(g: Graph) -> str:
-    """Canonical graph6 encoding of a labeled graph with n <= 62."""
+    """Canonical graph6 encoding of a labeled graph with n <= 62.
+
+    The edge bits are set in a zeroed byte string, and each 6-byte chunk of
+    it maps to its data character through the inverse of parse_graph6's table.
+    """
     if g.n > MAX_GRAPH6_VERTICES:
         raise UnsupportedSizeError(
             f"graph6 single-byte header supports n <= {MAX_GRAPH6_VERTICES}, got {g.n}"
         )
     n = g.n
     n_bits = n * (n - 1) // 2
-    bits = [0] * (n_bits + -n_bits % 6)
+    bits = bytearray(n_bits + -n_bits % 6)
     for u, v in g.edges:
-        bits[v * (v - 1) // 2 + u] = 1  # position of (u, v) in _upper_triangle_pairs
-    out = [chr(n + 63)]
-    for i in range(0, len(bits), 6):
-        value = 0
-        for bit in bits[i : i + 6]:
-            value = (value << 1) | bit
-        out.append(chr(value + 63))
-    return "".join(out)
+        bits[v * (v - 1) // 2 + u] = 1  # position of (u, v) in _COLUMN_PAIRS
+    bits = bytes(bits)  # slices of bytes, unlike bytearray, are hashable
+    return chr(n + 63) + "".join([_DATA_CHAR[bits[i : i + 6]] for i in range(0, len(bits), 6)])
 
 
 class LabeledGraphs:

@@ -209,6 +209,26 @@ def test_analyze_file_names_the_non_utf8_line(tmp_path, capsys):
     assert "error: line 2: non-ASCII byte" in err
 
 
+@pytest.mark.parametrize("data", [b"A_\fA_\nDhc\n", b"A_\x1cA_\r\nDhc\r", "A_ A_\nDhc".encode()])
+def test_scan_file_breaks_lines_only_at_newlines(tmp_path, capsys, data):
+    # A form feed, file separator or line separator inside a line leaves it
+    # one (malformed) line; \n, \r\n and \r end it.
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(data)
+    code, out, _ = run_cli(capsys, "scan", str(corpus), "--k", "3")
+    assert code == 0
+    assert out.startswith("scanned=1  qualifying=1  skipped_girth=0  malformed=1  ")
+
+
+def test_analyze_file_counts_lines_only_at_newlines(tmp_path, capsys):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"Dhc\vD\nA_\n")
+    code, out, err = run_cli(capsys, "analyze", str(corpus), "--k", "5")
+    assert code == 2
+    assert out == ""
+    assert "error: line 1: trailing garbage after edge data (byte offset 3)" in err
+
+
 def test_scan_summary_from_one_shot_generator():
     # The scan reads its input once, so a generator that can be iterated only
     # once gives the same summary as a list.

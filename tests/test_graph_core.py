@@ -22,12 +22,14 @@ from oddspectrum import (
     parse_graph6,
     petersen_graph,
 )
+from oddspectrum.graph_core import MAX_GRAPH6_VERTICES
 from util import (
     brute_force_odd_girth,
     level_bfs_odd_girth,
     neighbors,
     random_graph,
     reference_graph6,
+    reference_parse_graph6,
     trace_powers,
     two_colorable,
 )
@@ -277,9 +279,10 @@ def test_encode_graph6_known_values():
 
 def test_encode_matches_reference_implementation():
     rng = random.Random(23)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(1, 14))
-        assert encode_graph6(g) == reference_graph6(g.n, g.edges)
+    for n in range(MAX_GRAPH6_VERTICES + 1):
+        for p in (0.0, 0.2, 0.5, 1.0):
+            g = random_graph(rng, n, p)
+            assert encode_graph6(g) == reference_graph6(g.n, g.edges)
 
 
 def test_graph6_round_trips():
@@ -343,6 +346,77 @@ def test_parse_graph6_total_on_text(text):
 @given(graph6_graphs())
 def test_graph6_round_trip_property(g):
     assert parse_graph6(encode_graph6(g)) == g
+
+
+def _assert_like_built_graph(g):
+    # parse_graph6 builds its Graph without Graph.__init__; it must be one
+    # that __init__ would have built from the same edges.
+    built = Graph(g.n, g.edges)
+    assert type(g) is Graph
+    assert g.edges == built.edges
+    assert hash(g) == hash(built)
+    assert g == built and built == g
+
+
+def _assert_parsers_agree(text):
+    # The same graph, edge tuple included, or the same error at the same offset.
+    try:
+        want = reference_parse_graph6(text)
+    except Graph6ParseError as exc:
+        with pytest.raises(Graph6ParseError) as got:
+            parse_graph6(text)
+        assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
+    else:
+        g = parse_graph6(text)
+        assert (g.n, g.edges) == (want.n, want.edges)
+        _assert_like_built_graph(g)
+
+
+@st.composite
+def corrupted_graph6(draw):
+    """A valid encoding with one character replaced by any of U+0000..U+00FF."""
+    text = encode_graph6(draw(graph6_graphs()))
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + chr(draw(st.integers(0, 255))) + text[i + 1 :]
+
+
+@PROPERTY
+@given(st.one_of(st.text(), graph6_like, corrupted_graph6()))
+def test_parse_graph6_matches_reference_parser(text):
+    _assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, MAX_GRAPH6_VERTICES])
+def test_parse_graph6_matches_reference_parser_at_edge_sizes(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.5, 1.0):
+        text = encode_graph6(random_graph(rng, n, p))
+        _assert_parsers_agree(text)
+        _assert_parsers_agree(">>graph6<<" + text)
+        _assert_parsers_agree(text[:-1])
+        _assert_parsers_agree(text + "?")
+
+
+@pytest.mark.parametrize(
+    "n", [n for n in range(MAX_GRAPH6_VERTICES + 1) if n * (n - 1) // 2 % 6]
+)
+def test_parse_graph6_padding_bit_at_every_size(n):
+    # The last bit of the last data byte is padding for these n.
+    text = encode_graph6(Graph(n))[:-1] + chr(63 + 1)
+    with pytest.raises(Graph6ParseError, match="nonzero padding bits") as exc_info:
+        parse_graph6(text)
+    assert exc_info.value.offset == len(text) - 1
+    _assert_parsers_agree(text)
+
+
+def test_parsed_graphs_equal_normally_built_ones():
+    rng = random.Random(47)
+    for n in range(MAX_GRAPH6_VERTICES + 1):
+        for p in (0.0, 0.3, 1.0):
+            g = random_graph(rng, n, p)
+            parsed = parse_graph6(encode_graph6(g))
+            _assert_like_built_graph(parsed)
+            assert parsed == g and hash(parsed) == hash(g)
 
 
 def test_encode_too_large():

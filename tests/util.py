@@ -21,6 +21,7 @@ from oddspectrum import (
     objective_g,
 )
 from oddspectrum.cli import ScanRow, ScanSummary
+from oddspectrum.graph_core import GRAPH6_HEADER_PREFIX
 
 JACOBI_MAX_SWEEPS = 100
 
@@ -204,6 +205,58 @@ def reference_graph6(n: int, edges) -> str:
     for i in range(0, len(bits), 6):
         chars.append(chr(63 + int(bits[i : i + 6], 2)))
     return "".join(chars)
+
+
+def _upper_triangle_pairs(n: int):
+    """Column-major upper-triangle order: (0,1), (0,2), (1,2), (0,3), ..."""
+    for v in range(1, n):
+        for u in range(v):
+            yield u, v
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """The bit-by-bit graph6 decoder that parse_graph6 replaced: every bit and
+    every edge in Python, the graph built through Graph(n, edges)."""
+    start = len(text) - len(text.lstrip())
+    if text.startswith(GRAPH6_HEADER_PREFIX, start):
+        start += len(GRAPH6_HEADER_PREFIX)
+    line = text[start:].rstrip()
+    if not line:
+        raise Graph6ParseError("empty graph6 input", 0)
+    # In bytes from here on; line is ASCII up to each offset reported below.
+    start = len(text[:start].encode("utf-8", "surrogateescape"))
+    try:
+        raw = line.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6ParseError("non-ASCII byte in graph6 input", start + exc.start) from None
+
+    header = raw[0]
+    if header == 126:
+        raise Graph6ParseError("multi-byte size header not supported", start)
+    if not 63 <= header <= 125:
+        raise Graph6ParseError(f"invalid size header byte {header}", start)
+    n = header - 63
+
+    n_bits = n * (n - 1) // 2
+    n_bytes = (n_bits + 5) // 6
+    if len(raw) - 1 < n_bytes:
+        raise Graph6ParseError(
+            f"truncated input: need {n_bytes} data bytes for n = {n}", start + len(raw)
+        )
+    if len(raw) - 1 > n_bytes:
+        raise Graph6ParseError("trailing garbage after edge data", start + 1 + n_bytes)
+
+    bits: list[int] = []
+    for offset, byte in enumerate(raw[1:], start=start + 1):
+        if not 63 <= byte <= 126:
+            raise Graph6ParseError(f"non-printable data byte {byte}", offset)
+        value = byte - 63
+        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[n_bits:]):
+        raise Graph6ParseError("nonzero padding bits", start + n_bytes)
+
+    edges = [pair for pair, bit in zip(_upper_triangle_pairs(n), bits) if bit]
+    return Graph(n, edges)
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
