@@ -457,7 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="right end of the objective search over [1, S_MAX] (>= 15); the "
         "search stops at s = 26, so larger values cost nothing more",
     )
-    p.add_argument("--samples", type=int, default=1000, help="grid samples per unit interval")
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=1000,
+        help="grid samples per unit interval (>= 100); the search bisects each "
+        "interval, so its cost grows with log(SAMPLES)",
+    )
     p.set_defaults(func=cmd_gamma5)
 
     return parser

@@ -5,12 +5,13 @@ meets it from below.
 
 The objective (1 - f(s)^(-1/3)) / (1 + s f(s)^(-2/3)) with
 f(s) = floor(s) + frac(s)^(3/2) is smooth on each interval [m, m+1) and
-kinked at the integers, so the search samples every unit interval on a grid
-whose endpoints are the integers themselves.
+kinked at the integers, so the search works on a grid over each unit
+interval whose endpoints are the integers themselves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .spectral import Spectrum
 _TAIL_LENGTH = 14
 
 # Longest extremal sequence built. It admits epsilon = 1e-10 (n = 3.9e6,
-# 0.15 GB peak for the whole gamma5 run) but not 1e-11 (n = 1.2e7).
+# 136 MB peak RSS for the whole gamma5 run) but not 1e-11 (n = 1.2e7).
 MAX_SEQUENCE_LENGTH = 4_000_000
 
 
@@ -42,10 +43,22 @@ def objective_g(s: float) -> float:
     return (1.0 - fs ** (-1.0 / 3.0)) / (1.0 + s * fs ** (-2.0 / 3.0))
 
 
+def subrange_bound(s_lo: float, s_hi: float) -> float:
+    """(1 - f(s_hi)^(-1/3)) / (1 + s_lo f(s_hi)^(-2/3)): an upper bound on the
+    objective over [s_lo, s_hi] when that lies in one unit interval
+    [m, m+1], where f is non-decreasing, so f(s) <= f(s_hi), and s >= s_lo."""
+    fs = f_of_s(s_hi)
+    return (1.0 - fs ** (-1.0 / 3.0)) / (1.0 + s_lo * fs ** (-2.0 / 3.0))
+
+
 def interval_bound(m: int) -> float:
-    """(1 - (m+1)^(-1/3)) / (1 + m (m+1)^(-2/3)): an upper bound on the
-    objective over [m, m+1], where s >= m and f(s) <= m + 1."""
-    return (1.0 - (m + 1) ** (-1.0 / 3.0)) / (1.0 + m * (m + 1) ** (-2.0 / 3.0))
+    """(1 - (m+1)^(-1/3)) / (1 + m (m+1)^(-2/3)): subrange_bound over the
+    whole unit interval [m, m+1]."""
+    return subrange_bound(m, m + 1)
+
+
+# Index ranges of at most this many grid points are evaluated point by point.
+_LEAF_POINTS = 16
 
 
 def maximize_objective(
@@ -59,14 +72,24 @@ def maximize_objective(
     range): the objective rises into 14 and falls just after it, so no
     refinement between grid points could beat the sample there.
 
-    The scan stops at the first interval [m, m+1] whose interval_bound U(m)
-    cannot beat the best grid value so far. With x = (m+1)^(1/3),
-    U = x(x-1)/(x^3 + x^2 - 1), and dU/dx has the sign of
-    -x^4 + 2x^3 + x^2 - 2x + 1, negative for x >= 2.2; so U strictly
-    decreases from m = 10 on and no later interval can beat it either. The
-    1e-9 margin covers rounding in U and in the objective. Intervals that
-    are scanned keep the full grid's points and order, so the result is
-    bit-identical to the full grid over [1, s_max], whatever s_max is.
+    A first pass takes L, the best objective value at the integers, and
+    stops at the first interval [m, m+1] whose interval_bound U(m) cannot
+    beat it. With x = (m+1)^(1/3), U = x(x-1)/(x^3 + x^2 - 1), and dU/dx has
+    the sign of -x^4 + 2x^3 + x^2 - 2x + 1, negative for x >= 2.2; so U
+    strictly decreases from m = 10 on and no later interval can beat L
+    either.
+
+    The scanned intervals are then searched by bisecting their index range
+    [0, samples]. A sub-range whose grid points run from s_lo to s_hi is
+    skipped when subrange_bound(s_lo, s_hi) * (1 + 1e-9) < L; one of at most
+    16 points is evaluated in grid order, keeping a new best only when it is
+    strictly greater. The 1e-9 margin covers rounding in the bound and in the
+    objective, so every skipped point has a value strictly below L. L is
+    attained at a grid point, so the maximum over the grid is at least L,
+    and every point that reaches it is evaluated, in grid order: the first
+    of them is the one a sweep of the full grid would keep. The result is
+    bit-identical to that sweep over [1, s_max], whatever s_max is, and the
+    number of evaluations grows with log(samples), not with samples.
     """
     if not (math.isfinite(s_max) and s_max >= 15):
         raise ValueError(f"s_max must be finite and at least 15, got {s_max}")
@@ -76,19 +99,32 @@ def maximize_objective(
         )
 
     best_s, best_v = 1.0, objective_g(1.0)
-    m = 1
-    while m < s_max:
-        if m >= 10 and interval_bound(m) * (1.0 + 1e-9) <= best_v:
+    lower = best_v
+    stop = 2
+    while stop < s_max:
+        if stop >= 10 and interval_bound(stop) * (1.0 + 1e-9) <= lower:
             break
+        lower = max(lower, objective_g(float(stop)))
+        stop += 1
+
+    for m in range(1, stop):
         a = float(m)
         b = min(float(m + 1), s_max)
         step = (b - a) / per_interval_samples
-        for i in range(per_interval_samples + 1):
-            s = a + i * step
-            v = objective_g(s)
-            if v > best_v:
-                best_s, best_v = s, v
-        m += 1
+        ranges = [(0, per_interval_samples)]  # a stack, left half on top
+        while ranges:
+            i0, i1 = ranges.pop()
+            if subrange_bound(a + i0 * step, a + i1 * step) * (1.0 + 1e-9) < lower:
+                continue
+            if i1 - i0 < _LEAF_POINTS:
+                for i in range(i0, i1 + 1):
+                    s = a + i * step
+                    v = objective_g(s)
+                    if v > best_v:
+                        best_s, best_v = s, v
+            else:
+                mid = (i0 + i1) // 2
+                ranges += ((mid + 1, i1), (i0, mid))
     return best_s, best_v
 
 
@@ -226,28 +262,68 @@ class ConstraintCheck:
         return next((v for j, v in self.odd_sums if j == 3), None)
 
 
+def _power_sum(runs: list[tuple[float, int]], values, power) -> float:
+    """math.fsum(power(v) for v in values), bit for bit, from runs of equal
+    values.
+
+    A run of c copies of x adds the float t = c * power(x) and its rounding
+    error c * power(x) - t. The error is exactly a float: it is a whole
+    number of units in the last place of power(x), fewer than 2^53 of them
+    since c < 2^52. It is computed with integers from as_integer_ratio(),
+    whose denominators are powers of two, so the one fsum rounds the exact
+    total, as the per-element fsum does. A run whose t is not finite falls
+    back to the per-element fsum, which raises OverflowError or returns inf
+    or nan just as before.
+    """
+    terms = []
+    for x, c in runs:
+        y = power(x)
+        t = c * y
+        if not math.isfinite(t):
+            return math.fsum(power(v) for v in values)
+        terms.append(t)
+        p, q = y.as_integer_ratio()
+        tp, tq = t.as_integer_ratio()
+        d = max(q, tq)  # both are powers of two
+        error = (c * p * (d // q) - tp * (d // tq)) / d
+        if error:
+            terms.append(error)
+    return math.fsum(terms)
+
+
 def check_relaxed_constraints(seq: Spectrum, k: int) -> ConstraintCheck:
     """Evaluate the odd power sums (j <= k - 2) and the quadratic budget.
 
     seq is a Spectrum: a relaxed sequence such as extremal_sequence()
-    returns, or the eigenvalues of a graph.
+    returns, or the eigenvalues of a graph. Each sum is taken over the runs
+    of equal values of the sorted sequence, and equals the math.fsum of the
+    individual terms bit for bit.
     """
     require_odd_k(k, 3)
     values = seq.values
     n = len(values)
     lam1 = values[0] if values else 0.0
 
+    runs = []
+    for x, group in itertools.groupby(values):
+        if x == 0.0:
+            # 0.0 and -0.0 compare equal, and the sign of a zero sum may
+            # depend on theirs: a run of zeros keeps one term per entry.
+            runs += [(v, 1) for v in group]
+        else:
+            runs.append((x, len(list(group))))
+
     odd_sums = []
     satisfied = True
     base_tol = 1e-9 * n * max(1.0, lam1 * lam1)
     for j in range(1, k - 1, 2):
-        total = math.fsum(v**j for v in values)
+        total = _power_sum(runs, values, lambda v: v**j)
         tol_j = base_tol if j <= 3 else 1e-9 * n * max(1.0, abs(lam1) ** j)
         if abs(total) > tol_j:
             satisfied = False
         odd_sums.append((j, total))
 
-    sum2 = math.fsum(v * v for v in values)
+    sum2 = _power_sum(runs, values, lambda v: v * v)
     n_lambda1 = n * lam1
     if sum2 > n_lambda1 + base_tol:
         satisfied = False

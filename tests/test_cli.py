@@ -320,6 +320,21 @@ def test_gamma5_report(capsys):
     assert "csikvari" in out
 
 
+def test_gamma5_huge_sample_count_returns_promptly():
+    # A sweep of 25 intervals x 10^9 samples would run for hours.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = ["gamma5", "--samples", "1000000000", "--eps", "0.1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddspectrum.cli", *argv],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "  s_star = 14\n" in proc.stdout
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_pipe_exits_1_without_traceback(unbuffered):
     # `oddspectrum gamma5 ... | head`, with the reader gone before the first

@@ -24,11 +24,17 @@ from oddspectrum import (
     maximize_objective,
     n_epsilon,
     objective_g,
+    petersen_graph,
     power_sum_max_closed_form,
     solve_simple,
 )
-from oddspectrum.gamma5prime import MAX_SEQUENCE_LENGTH, interval_bound
-from util import full_grid_max, power_sum_max_bruteforce
+from oddspectrum.gamma5prime import MAX_SEQUENCE_LENGTH, interval_bound, subrange_bound
+from util import (
+    full_grid_max,
+    power_sum_max_bruteforce,
+    random_graph,
+    reference_check_relaxed_constraints,
+)
 
 
 def test_f_of_s_values():
@@ -104,25 +110,44 @@ def test_maximize_objective_equals_full_grid(s_max, samples):
     assert maximize_objective(s_max, samples) == full_grid_max(s_max, samples)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    s_max=st.floats(min_value=15.0, max_value=40.0).filter(lambda s: s != math.floor(s)),
+    samples=st.integers(min_value=100, max_value=3000),
+)
+def test_maximize_objective_equals_full_grid_fine_grids(s_max, samples):
+    assert maximize_objective(s_max, samples) == full_grid_max(s_max, samples)
+
+
 def test_maximize_objective_equals_full_grid_on_benchmark_grid():
     assert maximize_objective(1000.0, 2000) == full_grid_max(1000.0, 2000)
 
 
-def test_maximize_objective_huge_s_max_stops_early(monkeypatch):
-    # The search stops at s = 26; a scan that walked the 1e300 intervals
-    # would trip the evaluation budget instead of hanging.
+def _evaluation_budget(monkeypatch, budget):
     calls = 0
 
     def counted(s):
         nonlocal calls
         calls += 1
-        assert calls <= 30 * 101, "objective search did not stop early"
+        assert calls <= budget, "objective search made too many evaluations"
         return objective_g(s)
 
     monkeypatch.setattr(gamma5prime, "objective_g", counted)
+
+
+def test_maximize_objective_huge_s_max_stops_early(monkeypatch):
+    # The search stops at s = 26; a scan that walked the 1e300 intervals
+    # would trip the evaluation budget instead of hanging.
+    _evaluation_budget(monkeypatch, 30 * 101)
     result = maximize_objective(1e300, 100)
     assert result == (14.0, objective_g(14.0))
     assert result == full_grid_max(30.0, 100)
+
+
+def test_huge_sample_count_costs_few_evaluations(monkeypatch):
+    # A sweep would make 2.5e10 evaluations; bisection makes about 130.
+    _evaluation_budget(monkeypatch, 2000)
+    assert maximize_objective(1000.0, 10**9) == (14.0, objective_g(14.0))
 
 
 def test_interval_bound_dominates_objective():
@@ -130,6 +155,18 @@ def test_interval_bound_dominates_objective():
         bound = interval_bound(m)
         for i in range(1001):
             assert objective_g(m + i / 1000) <= bound, (m, i)
+
+
+def test_subrange_bound_dominates_objective():
+    rng = random.Random(15)
+    for _ in range(3000):
+        m = rng.randint(1, 2000)
+        s_lo, s_hi = sorted(m + rng.random() ** rng.choice((1, 4)) for _ in range(2))
+        bound = subrange_bound(s_lo, s_hi)
+        assert bound <= interval_bound(m)
+        for i in range(51):
+            s = min(s_lo + (s_hi - s_lo) * i / 50, s_hi)
+            assert objective_g(s) <= bound, (s_lo, s_hi, s)
 
 
 def test_interval_bound_decreases_from_ten():
@@ -286,6 +323,68 @@ def test_check_relaxed_constraints_on_graph_spectra():
     assert check_relaxed_constraints(eigenvalues(cycle_graph(5)), 5).satisfied
     assert check_relaxed_constraints(eigenvalues(cycle_graph(9)), 9).satisfied
     assert check_relaxed_constraints(eigenvalues(complete_bipartite(3, 3)), 99).satisfied
+
+
+def _check_outcome(check, seq, k):
+    try:
+        return repr(check(seq, k))  # repr tells -0.0 from 0.0
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def assert_check_matches_reference(seq, k):
+    assert _check_outcome(check_relaxed_constraints, seq, k) == _check_outcome(
+        reference_check_relaxed_constraints, seq, k
+    )
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01, 0.001, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_check_relaxed_constraints_matches_reference_on_extremal_sequences(eps):
+    seq = extremal_sequence(eps, math.ceil(n_epsilon(eps)))
+    check = check_relaxed_constraints(seq, 5)
+    assert repr(check) == repr(reference_check_relaxed_constraints(seq, 5))
+    assert check.satisfied
+
+
+def test_check_relaxed_constraints_matches_reference_on_graph_spectra():
+    # Eigenvalues rarely repeat bit for bit: the runs are mostly of length 1.
+    rng = random.Random(7)
+    graphs = [cycle_graph(5), petersen_graph(), cycle_graph(101)]
+    graphs += [random_graph(rng, rng.randint(1, 40), rng.random()) for _ in range(30)]
+    for g in graphs:
+        for k in (3, 5, 9):
+            assert_check_matches_reference(eigenvalues(g), k)
+
+
+_FLOAT_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.5, -1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    pool=st.lists(
+        st.one_of(
+            st.sampled_from(_FLOAT_SPECIALS),
+            st.floats(min_value=-1e-300, max_value=1e-300),
+            st.floats(min_value=-100.0, max_value=100.0),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    picks=st.lists(st.integers(min_value=0, max_value=4), max_size=60),
+    k=st.sampled_from([3, 5, 7, 9]),
+)
+def test_check_relaxed_constraints_matches_reference_with_repeats(pool, picks, k):
+    seq = Spectrum(tuple(pool[i % len(pool)] for i in picks))
+    assert_check_matches_reference(seq, k)
+
+
+def test_check_relaxed_constraints_overflowing_run_raises():
+    # The run's total 2e308 overflows: fsum's OverflowError, never inf.
+    with pytest.raises(OverflowError):
+        check_relaxed_constraints(Spectrum((1e308, 1e308)), 5)
+    with pytest.raises(OverflowError):
+        reference_check_relaxed_constraints(Spectrum((1e308, 1e308)), 5)
 
 
 def test_check_relaxed_constraints_rejects_violations():

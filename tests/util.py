@@ -21,6 +21,8 @@ from oddspectrum import (
     objective_g,
 )
 from oddspectrum.cli import ScanRow, ScanSummary
+from oddspectrum.errors import require_odd_k
+from oddspectrum.gamma5prime import ConstraintCheck
 from oddspectrum.graph_core import GRAPH6_HEADER_PREFIX
 
 JACOBI_MAX_SWEEPS = 100
@@ -443,3 +445,39 @@ def full_grid_max(s_max: float, per_interval_samples: int) -> tuple[float, float
                 best_s, best_v = s, v
         m += 1
     return best_s, best_v
+
+
+def reference_check_relaxed_constraints(seq: Spectrum, k: int) -> ConstraintCheck:
+    """Evaluate the odd power sums (j <= k - 2) and the quadratic budget,
+    with one math.fsum over the individual terms of each sum.
+
+    seq is a Spectrum: a relaxed sequence such as extremal_sequence()
+    returns, or the eigenvalues of a graph.
+    """
+    require_odd_k(k, 3)
+    values = seq.values
+    n = len(values)
+    lam1 = values[0] if values else 0.0
+
+    odd_sums = []
+    satisfied = True
+    base_tol = 1e-9 * n * max(1.0, lam1 * lam1)
+    for j in range(1, k - 1, 2):
+        total = math.fsum(v**j for v in values)
+        tol_j = base_tol if j <= 3 else 1e-9 * n * max(1.0, abs(lam1) ** j)
+        if abs(total) > tol_j:
+            satisfied = False
+        odd_sums.append((j, total))
+
+    sum2 = math.fsum(v * v for v in values)
+    n_lambda1 = n * lam1
+    if sum2 > n_lambda1 + base_tol:
+        satisfied = False
+
+    return ConstraintCheck(
+        odd_sums=tuple(odd_sums),
+        sum2=sum2,
+        n_lambda1=n_lambda1,
+        tolerance=base_tol,
+        satisfied=satisfied,
+    )
