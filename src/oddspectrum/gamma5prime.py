@@ -22,17 +22,15 @@ from .spectral import Spectrum
 # entry, fourteen -1 tail entries, and a nonnegative middle block.
 _TAIL_LENGTH = 14
 
-# Longest extremal sequence built. It admits epsilon = 1e-10 (n = 3.9e6,
-# 136 MB peak RSS for the whole gamma5 run) but not 1e-11 (n = 1.2e7).
-MAX_SEQUENCE_LENGTH = 4_000_000
+# Half a unit in the last place of 14: for any epsilon at or below it,
+# 14 - epsilon rounds to 14 and the construction degenerates.
+EPSILON_FLOOR = 2.0**-50
 
 
 def f_of_s(s: float) -> float:
-    """floor(s) + frac(s)^(3/2); exact at integers, below s everywhere else."""
-    if s < 0:
-        raise ValueError(f"argument must be non-negative, got {s}")
-    m = math.floor(s)
-    return m + (s - m) ** 1.5
+    """floor(s) + frac(s)^(3/2), power_sum_max_closed_form(s, 3/2); exact at
+    integers, below s everywhere else."""
+    return power_sum_max_closed_form(s, 1.5)
 
 
 def objective_g(s: float) -> float:
@@ -147,13 +145,19 @@ def _cube_sum_at(c: float, n: int, t: float) -> float:
 
 def solve_simple(n: int, c: float, d: float) -> tuple[float, ...]:
     """Non-negative reals with sum exactly c and cube-sum d, for
-    c^3 n^-2 <= d <= c^3.
+    c^3 n^-2 <= d <= c^3: one head entry, then n - 1 equal tail entries.
 
     Uses the one-parameter family head(t) = c(1 - t + t/n), tail(t) = ct/n:
     the linear sum is c identically, while the cube-sum falls continuously
     from c^3 at t = 0 to c^3 n^-2 at t = 1, so bisection on the sign change
     lands on the target without assuming monotonicity.
     """
+    head, tail = _solve_head_tail(n, c, d)
+    return (head,) + (tail,) * (n - 1)
+
+
+def _solve_head_tail(n: int, c: float, d: float) -> tuple[float, float]:
+    """solve_simple's two distinct values, head and tail, in O(1) memory."""
     if n < 1:
         raise ValueError(f"need at least one variable, got n = {n}")
     if c < 0 or d < 0:
@@ -186,19 +190,28 @@ def solve_simple(n: int, c: float, d: float) -> tuple[float, ...]:
         key=lambda u: abs(_cube_sum_at(c, n, u) - target),
     )
     tail = c * t / n
-    head = c - (n - 1) * tail
-    return (head,) + (tail,) * (n - 1)
+    return c - (n - 1) * tail, tail
 
 
 def n_epsilon(epsilon: float) -> float:
     """Size threshold 15 + sqrt((14 - (14 - eps)^(1/3))^3 / eps) above which
-    the extremal construction is feasible; UnsupportedSizeError if it overflows."""
+    the extremal construction is feasible.
+
+    UnsupportedSizeError if it overflows (eps below about 8.7e-306);
+    otherwise ValueError for eps at or below EPSILON_FLOOR = 2^-50, about
+    8.9e-16, where 14 - eps rounds to 14.
+    """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     c = 14.0 - (14.0 - epsilon) ** (1.0 / 3.0)
     threshold = 15.0 + math.sqrt(c**3 / epsilon)
     if math.isinf(threshold):
         raise UnsupportedSizeError(f"size threshold for epsilon = {epsilon} overflows")
+    if epsilon <= EPSILON_FLOOR:
+        raise ValueError(
+            f"epsilon must exceed 2^-50 = {EPSILON_FLOOR:.3g}, where 14 - epsilon "
+            f"rounds to 14; got {epsilon}"
+        )
     return threshold
 
 
@@ -215,26 +228,24 @@ def extremal_sequence(epsilon: float, n: int) -> Spectrum:
     Its measure is ((14-eps)^(2/3) - (14-eps)^(1/3)) / (14^(2/3) + 14 + sqrt(14 eps)),
     which increases to the exact supremum as eps decreases to 0.
 
-    Raises UnsupportedSizeError, before allocating, when n exceeds
-    MAX_SEQUENCE_LENGTH.
+    The middle block is solve_simple's: one entry, then n - 16 equal ones.
+    So the sequence is four runs (value, count), built with
+    Spectrum.from_runs in O(1) time and memory whatever n is.
     """
     required = math.ceil(n_epsilon(epsilon))
     if n < required:
         raise InfeasibleError(
             f"need n >= {required} for epsilon = {epsilon}, got {n}"
         )
-    if n > MAX_SEQUENCE_LENGTH:
-        raise UnsupportedSizeError(
-            f"sequence length {n} exceeds the limit {MAX_SEQUENCE_LENGTH}"
-        )
     head = (14.0 - epsilon) ** (1.0 / 3.0)
-    mid_head, mid_tail = solve_simple(n - _TAIL_LENGTH - 1, 14.0 - head, epsilon)[:2]
+    mid_head, mid_tail = _solve_head_tail(n - _TAIL_LENGTH - 1, 14.0 - head, epsilon)
     scale = n * head / (14.0 ** (2.0 / 3.0) + 14.0 + math.sqrt(14.0 * epsilon))
-    # One float per distinct value, shared by every entry: a pointer per entry.
-    return Spectrum(
-        (scale * head, scale * mid_head)
-        + (scale * mid_tail,) * (n - _TAIL_LENGTH - 2) + (-scale,) * _TAIL_LENGTH
-    )
+    return Spectrum.from_runs((
+        (scale * head, 1),
+        (scale * mid_head, 1),
+        (scale * mid_tail, n - _TAIL_LENGTH - 2),
+        (-scale, _TAIL_LENGTH),
+    ))
 
 
 @dataclass(frozen=True)
@@ -262,9 +273,9 @@ class ConstraintCheck:
         return next((v for j, v in self.odd_sums if j == 3), None)
 
 
-def _power_sum(runs: list[tuple[float, int]], values, power) -> float:
-    """math.fsum(power(v) for v in values), bit for bit, from runs of equal
-    values.
+def _power_sum(runs: tuple[tuple[float, int], ...], power) -> float:
+    """math.fsum of power(v) over every entry of the runs, bit for bit,
+    without expanding them.
 
     A run of c copies of x adds the float t = c * power(x) and its rounding
     error c * power(x) - t. The error is exactly a float: it is a whole
@@ -273,14 +284,14 @@ def _power_sum(runs: list[tuple[float, int]], values, power) -> float:
     whose denominators are powers of two, so the one fsum rounds the exact
     total, as the per-element fsum does. A run whose t is not finite falls
     back to the per-element fsum, which raises OverflowError or returns inf
-    or nan just as before.
+    or nan just as before, each entry taken lazily from its run.
     """
     terms = []
     for x, c in runs:
         y = power(x)
         t = c * y
         if not math.isfinite(t):
-            return math.fsum(power(v) for v in values)
+            return math.fsum(power(v) for x, c in runs for v in itertools.repeat(x, c))
         terms.append(t)
         p, q = y.as_integer_ratio()
         tp, tq = t.as_integer_ratio()
@@ -295,35 +306,26 @@ def check_relaxed_constraints(seq: Spectrum, k: int) -> ConstraintCheck:
     """Evaluate the odd power sums (j <= k - 2) and the quadratic budget.
 
     seq is a Spectrum: a relaxed sequence such as extremal_sequence()
-    returns, or the eigenvalues of a graph. Each sum is taken over the runs
-    of equal values of the sorted sequence, and equals the math.fsum of the
-    individual terms bit for bit.
+    returns, or the eigenvalues of a graph. Each sum is taken over its runs,
+    which are never expanded, and equals the math.fsum of the individual
+    terms bit for bit.
     """
     require_odd_k(k, 3)
-    values = seq.values
-    n = len(values)
-    lam1 = values[0] if values else 0.0
-
-    runs = []
-    for x, group in itertools.groupby(values):
-        if x == 0.0:
-            # 0.0 and -0.0 compare equal, and the sign of a zero sum may
-            # depend on theirs: a run of zeros keeps one term per entry.
-            runs += [(v, 1) for v in group]
-        else:
-            runs.append((x, len(list(group))))
+    runs = seq.runs
+    n = seq.n
+    lam1 = runs[0][0] if runs else 0.0
 
     odd_sums = []
     satisfied = True
     base_tol = 1e-9 * n * max(1.0, lam1 * lam1)
     for j in range(1, k - 1, 2):
-        total = _power_sum(runs, values, lambda v: v**j)
+        total = _power_sum(runs, lambda v: v**j)
         tol_j = base_tol if j <= 3 else 1e-9 * n * max(1.0, abs(lam1) ** j)
         if abs(total) > tol_j:
             satisfied = False
         odd_sums.append((j, total))
 
-    sum2 = _power_sum(runs, values, lambda v: v * v)
+    sum2 = _power_sum(runs, lambda v: v * v)
     n_lambda1 = n * lam1
     if sum2 > n_lambda1 + base_tol:
         satisfied = False

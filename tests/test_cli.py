@@ -335,6 +335,41 @@ def test_gamma5_huge_sample_count_returns_promptly():
     assert "  s_star = 14\n" in proc.stdout
 
 
+# Runs the CLI, then reports its own CPU seconds and peak RSS (kB) on stderr.
+# VmHWM, not ru_maxrss: on Linux a child's ru_maxrss keeps the peak of the
+# process it was forked from, here the test runner's, across exec.
+_MEASURED_CLI = """\
+import resource, sys
+from oddspectrum.cli import main
+code = main(sys.argv[1:])
+usage = resource.getrusage(resource.RUSAGE_SELF)
+hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(usage.ru_utime + usage.ru_stime, hwm.split()[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_gamma5_smallest_epsilons_run_in_flat_memory():
+    # eps 1e-14 gives n = 394,563,743: as a tuple of entries that would be
+    # gigabytes, as runs it is four (value, count) pairs.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = ["gamma5", "--eps", "1e-14"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEASURED_CLI, *argv],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "epsilon = 1e-14  (n = 394563743)\n" in proc.stdout
+    assert proc.stdout.endswith("  satisfied   = True\n")
+    cpu_s, peak_kb = proc.stderr.split()
+    # CPU seconds rather than wall time, so that a busy machine cannot fail it.
+    assert float(cpu_s) < 1.0
+    assert int(peak_kb) < 64 * 1024
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_pipe_exits_1_without_traceback(unbuffered):
     # `oddspectrum gamma5 ... | head`, with the reader gone before the first
@@ -366,7 +401,7 @@ def test_gamma5_validation(capsys):
         ("--eps", ","),
         ("--samples", "50"),
         ("--s-max", "nan"),
-        ("--eps", "1e-11"),
+        ("--eps", "1e-16"),  # below the epsilon floor 2^-50
         ("--eps", "1e-320"),  # the size threshold overflows a float
     ):
         code, out, _ = run_cli(capsys, "gamma5", *argv)

@@ -28,7 +28,7 @@ from oddspectrum import (
     power_sum_max_closed_form,
     solve_simple,
 )
-from oddspectrum.gamma5prime import MAX_SEQUENCE_LENGTH, interval_bound, subrange_bound
+from oddspectrum.gamma5prime import EPSILON_FLOOR, interval_bound, subrange_bound
 from util import (
     full_grid_max,
     power_sum_max_bruteforce,
@@ -49,8 +49,7 @@ def test_f_of_s_below_identity():
     for i in range(1, 400):
         s = i / 13.0
         fs = f_of_s(s)
-        # The alpha = 3/2 case of the closed form, kept as its own function
-        # for speed; the two must not drift apart.
+        # f_of_s is the alpha = 3/2 case of the closed form.
         assert fs == power_sum_max_closed_form(s, 1.5)
         assert fs <= s + 1e-15
         if abs(s - round(s)) > 1e-9:
@@ -297,10 +296,35 @@ def test_extremal_sequence_needs_enough_room():
     assert str(math.ceil(n_epsilon(0.01))) in str(exc_info.value)
     with pytest.raises(ValueError):
         extremal_sequence(1.5, 1000)
-    with pytest.raises(UnsupportedSizeError):
-        extremal_sequence(0.1, MAX_SEQUENCE_LENGTH + 1)
     with pytest.raises(UnsupportedSizeError):  # the size threshold overflows
         extremal_sequence(1e-320, 10)
+
+
+def test_extremal_sequence_above_the_old_length_limit():
+    # n = 12,477,216 entries, past the 4,000,000 that tuples of entries
+    # allowed: four runs, never expanded.
+    n = math.ceil(n_epsilon(1e-11))
+    assert n == 12_477_216
+    seq = extremal_sequence(1e-11, n)
+    assert seq.n == n
+    assert [c for _, c in seq.runs] == [1, 1, n - 16, 14]
+    assert seq._values is None
+    check = check_relaxed_constraints(seq, 5)
+    assert check.satisfied
+    assert seq._values is None
+    assert 0 < gamma5_prime_value() - seq.measure < 1.1e-7
+
+
+def test_n_epsilon_floor():
+    assert 14.0 - EPSILON_FLOOR == 14.0
+    assert 14.0 - math.nextafter(EPSILON_FLOOR, 1.0) < 14.0
+    for eps in (1e-16, EPSILON_FLOOR, 1e-300):
+        with pytest.raises(ValueError, match="2\\^-50"):
+            n_epsilon(eps)
+    assert n_epsilon(math.nextafter(EPSILON_FLOOR, 1.0)) > 1e9
+    assert 3.9e8 < n_epsilon(1e-14) < 4e8
+    seq = extremal_sequence(1e-14, math.ceil(n_epsilon(1e-14)))
+    assert check_relaxed_constraints(seq, 5).satisfied
 
 
 def test_extremal_measures_increase_toward_limit():
@@ -377,6 +401,39 @@ _FLOAT_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
 def test_check_relaxed_constraints_matches_reference_with_repeats(pool, picks, k):
     seq = Spectrum(tuple(pool[i % len(pool)] for i in picks))
     assert_check_matches_reference(seq, k)
+
+
+@st.composite
+def descending_runs(draw):
+    """Up to five (value, count) runs, values non-increasing and often
+    repeated, with up to about 1e5 entries in all."""
+    pool = draw(st.lists(
+        st.one_of(
+            st.sampled_from((0.0, -0.0)),
+            st.sampled_from(_FLOAT_SPECIALS),
+            st.floats(min_value=-1e-300, max_value=1e-300),
+            st.floats(min_value=-100.0, max_value=100.0),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=3,
+    ))
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    values.sort(reverse=True)  # equal floats, +-0.0 included, keep their order
+    counts = st.one_of(st.integers(1, 3), st.integers(10_000, 20_000))
+    return [(v, draw(counts)) for v in values]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(runs=descending_runs(), k=st.sampled_from([3, 5, 7, 9]))
+def test_check_relaxed_constraints_on_runs_matches_reference_on_entries(runs, k):
+    seq = Spectrum.from_runs(runs)
+    entries = Spectrum([v for v, c in runs for _ in range(c)])
+    assert repr(seq.runs) == repr(entries.runs)
+    assert _check_outcome(check_relaxed_constraints, seq, k) == _check_outcome(
+        reference_check_relaxed_constraints, entries, k
+    )
+    assert seq._values is None  # the check never expanded the runs
 
 
 def test_check_relaxed_constraints_overflowing_run_raises():

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddspectrum import (
     Spectrum,
@@ -84,6 +86,57 @@ def test_spectrum_constructor_sorts():
     assert s.values == (3.0, 1.0, -2.0)
     with pytest.raises(ValueError):
         Spectrum(()).lambda1
+
+
+def test_spectrum_from_runs():
+    s = Spectrum.from_runs(((3.0, 2), (1.0, 1), (1.0, 2), (0.0, 1), (-0.0, 2), (-2.0, 1)))
+    # Equal neighbours merge only when they are the same float.
+    assert repr(s.runs) == "((3.0, 2), (1.0, 3), (0.0, 1), (-0.0, 2), (-2.0, 1))"
+    assert (s.n, s.lambda1, s.lambda_n, s.measure) == (9, 3.0, -2.0, 1.0 / 9.0)
+    assert repr(s.values) == "(3.0, 3.0, 1.0, 1.0, 1.0, 0.0, -0.0, -0.0, -2.0)"
+    assert s == Spectrum(s.values)
+    assert Spectrum.from_runs(()).n == 0
+    with pytest.raises(ValueError):
+        Spectrum.from_runs(()).lambda_n
+    with pytest.raises(AttributeError):
+        s.runs = ()
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [((1.0, 1), (2.0, 1)), ((-0.0, 1), (1e-300, 1)), ((1.0, 0),), ((1.0, -1),), ((1.0, 1.5),)],
+)
+def test_spectrum_from_runs_rejects_bad_runs(runs):
+    with pytest.raises(ValueError, match="run"):
+        Spectrum.from_runs(runs)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_spectrum_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum((1.0, bad, -1.0))
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum((bad,))
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum.from_runs(((2.0, 1), (bad, 3)))
+
+
+_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.5, -1.0)),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(_FLOATS, max_size=40))
+def test_spectrum_values_round_trip_bit_for_bit(values):
+    s = Spectrum(values)
+    # repr tells -0.0 from 0.0; sorted() keeps equal floats in input order.
+    assert repr(s.values) == repr(tuple(sorted(values, reverse=True)))
+    assert repr(Spectrum.from_runs(s.runs).values) == repr(s.values)
+    assert repr(Spectrum(s.values).runs) == repr(s.runs)
+    assert s.n == len(values) == sum(c for _, c in s.runs)
 
 
 def test_jacobi_agrees_with_lapack():
