@@ -168,26 +168,32 @@ class CertificateReport:
         )
 
 
+def within_bound(measure, value: float):
+    """measure <= value + 1e-12 * max(1, |value|, |measure|), for a float
+    measure or elementwise on a numpy array. The max is split into two
+    comparisons, which is exact since rounding is monotone."""
+    return (measure <= value + COMPARISON_RTOL * max(1.0, abs(value))) | (
+        measure <= value + COMPARISON_RTOL * abs(measure)
+    )
+
+
 def _bound_entry(name: str, value: float, measure: float) -> BoundEntry:
-    tol = COMPARISON_RTOL * max(1.0, abs(value), abs(measure))
     return BoundEntry(
         name=name,
         value=value,
-        satisfied=measure <= value + tol,
+        satisfied=within_bound(measure, value),
         slack=value - measure,
     )
 
 
 def count_violations(measures, values: Sequence[float]) -> int:
-    """How many of a numpy array of measures exceed one of the bound values,
-    by the rule of _bound_entry vectorised: a measure satisfies a value when
-    measure <= value + 1e-12 * max(1, |value|, |measure|)."""
+    """How many of a numpy array of measures are not within_bound of one of
+    the bound values."""
     import numpy as np  # here, so that importing bounds loads no numpy
 
     bad = np.zeros(len(measures), bool)
     for value in values:
-        tol = COMPARISON_RTOL * np.maximum(max(1.0, abs(value)), np.abs(measures))
-        bad |= ~(measures <= value + tol)
+        bad |= ~within_bound(measures, value)
     return int(bad.sum())
 
 

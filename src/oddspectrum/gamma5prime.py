@@ -253,9 +253,9 @@ class ConstraintCheck:
     """Residuals of the constraint system for one sequence.
 
     odd_sums holds (j, sum of j-th powers) for every odd j <= k - 2; each
-    must vanish within 1e-9 * n * max(1, lambda1^2) (powers above 3 scale
-    the tolerance by lambda1^j instead, matching the growth of the terms).
-    sum2 must stay below the budget n * lambda1 up to the same base slop.
+    must vanish within 1e-9 * max(1, sum of |x|^j), its own scale. sum2
+    must stay below the budget n * lambda1 up to 1e-9 * max(1, sum2).
+    tolerance is the bound on sum1.
     """
 
     odd_sums: tuple[tuple[int, float], ...]
@@ -315,25 +315,26 @@ def check_relaxed_constraints(seq: Spectrum, k: int) -> ConstraintCheck:
     n = seq.n
     lam1 = runs[0][0] if runs else 0.0
 
+    def tol(j):  # 1e-9 of the scale, sum of |x|^j: a plain float sum over the runs
+        return 1e-9 * max(1.0, sum(abs(x) ** j * c for x, c in runs))
+
     odd_sums = []
     satisfied = True
-    base_tol = 1e-9 * n * max(1.0, lam1 * lam1)
     for j in range(1, k - 1, 2):
         total = _power_sum(runs, lambda v: v**j)
-        tol_j = base_tol if j <= 3 else 1e-9 * n * max(1.0, abs(lam1) ** j)
-        if abs(total) > tol_j:
+        if abs(total) > tol(j):
             satisfied = False
         odd_sums.append((j, total))
 
     sum2 = _power_sum(runs, lambda v: v * v)
     n_lambda1 = n * lam1
-    if sum2 > n_lambda1 + base_tol:
+    if sum2 > n_lambda1 + 1e-9 * max(1.0, sum2):  # sum2 is its own scale
         satisfied = False
 
     return ConstraintCheck(
         odd_sums=tuple(odd_sums),
         sum2=sum2,
         n_lambda1=n_lambda1,
-        tolerance=base_tol,
+        tolerance=tol(1),
         satisfied=satisfied,
     )

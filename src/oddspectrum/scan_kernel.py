@@ -1,10 +1,10 @@
-"""The numpy kernel of the corpus scan: chunks of graphs with a common vertex
-count as (B, n, n) adjacency stacks, an odd-girth gate by boolean matrix
-powers, and one stacked eigensolver call per chunk.
+"""The numpy kernel: graphs with a common vertex count as (B, n, n) adjacency
+stacks, an odd-girth gate by boolean matrix powers, and the package's one
+eigensolver call, which the scan runs on chunks and spectral.eigenvalues on
+a stack of one, so the scan's measures equal certify's bit for bit.
 
-The scan imports this module, and certify imports it when it first checks
-the odd traces of a graph (a stack of one), so numpy is loaded by the
-commands that run LAPACK and by no other.
+Nothing imports this module at load, so numpy is loaded by the commands
+that run LAPACK and by no other.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ def mask_adjacency(n: int, pairs: Sequence[tuple[int, int]], masks: range) -> np
     return adj
 
 
-def graph_adjacency(n: int, graphs: Sequence[Graph]) -> np.ndarray:
-    """The (B, n, n) 0/1 stack of graphs, all on n vertices."""
-    adj = np.zeros((len(graphs), n, n), np.float32)
+def graph_adjacency(n: int, graphs: Sequence[Graph], dtype=np.float32) -> np.ndarray:
+    """The (B, n, n) 0/1 stack of graphs, all on n vertices: float32 for the
+    gate, float64 (or float) for the eigensolver, which then copies nothing."""
+    adj = np.zeros((len(graphs), n, n), dtype)
     for a, g in zip(adj, graphs):
         if g.edges:
             u, v = zip(*g.edges)
@@ -73,13 +74,17 @@ def odd_walk_free(adj: np.ndarray, k: int) -> np.ndarray:
     return ~(reach * adj).any(axis=(1, 2))
 
 
-def measures(adj: np.ndarray) -> np.ndarray:
-    """(lambda1 + lambda_n) / n for each matrix of a non-empty (B, n, n)
-    stack. One float64 eigvalsh runs the LAPACK call of spectral.eigenvalues
-    on every matrix, so each value is bit-identical to Spectrum.measure."""
+def eigvalsh(adj: np.ndarray) -> np.ndarray:
+    """Each matrix's eigenvalues, ascending, from one float64 LAPACK call on
+    the (B, n, n) stack; ConvergenceError if LAPACK fails."""
     try:
-        vals = np.linalg.eigvalsh(adj.astype(np.float64))  # ascending
+        return np.linalg.eigvalsh(adj.astype(np.float64, copy=False))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed on {len(adj)} graphs: {exc}") from exc
-    return (vals[:, -1] + vals[:, 0]) / adj.shape[-1]
 
+
+def measures(adj: np.ndarray) -> np.ndarray:
+    """(lambda1 + lambda_n) / n for each matrix of a non-empty (B, n, n)
+    stack: from eigvalsh, as Spectrum.measure is, so bit-identical to it."""
+    vals = eigvalsh(adj)
+    return (vals[:, -1] + vals[:, 0]) / adj.shape[-1]

@@ -458,6 +458,21 @@ def test_check_relaxed_constraints_rejects_violations():
     assert (over_budget.sum2, over_budget.n_lambda1) == (8.0, 4.0)
 
 
+def test_check_relaxed_constraints_tolerance_follows_the_sums_scale():
+    # The eps = 1e-10 sequence (n = 3,945,653) with its middle run shifted
+    # until sum1 = 1.3e4, 1e-3 of sum1's scale, the sum of |x| (1.3e7). A
+    # tolerance of 1e-9 * n * lambda1^2 (5.3e9 here) let it pass.
+    seq = extremal_sequence(1e-10, math.ceil(n_epsilon(1e-10)))
+    assert check_relaxed_constraints(seq, 5).satisfied
+    runs = list(seq.runs)
+    x, c = runs[2]
+    runs[2] = (x + 1.3e4 / c, c)
+    check = check_relaxed_constraints(Spectrum.from_runs(runs), 5)
+    assert check.sum1 == pytest.approx(1.3e4)
+    assert check.tolerance == pytest.approx(1e-9 * sum(abs(x) * c for x, c in runs))
+    assert not check.satisfied
+
+
 def test_check_relaxed_constraints_zero_sequence():
     check = check_relaxed_constraints(Spectrum((0.0,) * 6), 5)
     assert check.satisfied

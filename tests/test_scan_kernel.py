@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddspectrum import (
+    ConvergenceError,
     Graph,
     LabeledGraphs,
     blow_up,
@@ -119,6 +120,22 @@ def test_measure_mismatch_counts_as_violation(monkeypatch, capsys):
     assert "violations=1" in capsys.readouterr().out
 
 
+def test_lapack_failure_raises_convergence_error_and_exits_4(monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eigenvalues(cycle_graph(5))
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        scan_kernel.measures(scan_kernel.graph_adjacency(5, [cycle_graph(5)]))
+    for argv in (["analyze", "Dhc", "--k", "5"], ["scan", "--enumerate", "5", "--k", "5"]):
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def boundary_measures(value):
     """Measures five ulps either side of value + 1e-12 * max(1, |value|),
     where a measure near value stops satisfying the bound."""
@@ -136,6 +153,10 @@ def test_count_violations_follows_the_bound_entry_rule(value):
     far = [1e20, -1e20, value * 1e13, -value * 1e13, 1e-300, float("nan")]
     measures = np.array(near + far)
     verdicts = [_bound_entry("b", value, m).satisfied for m in measures.tolist()]
+    # The rule as documented, with the max of three taken in one piece.
+    rule = COMPARISON_RTOL * np.maximum(max(1.0, abs(value)), np.abs(measures))
+    assert verdicts == (measures <= value + rule).tolist()
+    assert all(type(ok) is bool for ok in verdicts)  # JSON takes no numpy bool
     assert True in verdicts[: len(near)] and False in verdicts[: len(near)]
     assert count_violations(measures, [value]) == verdicts.count(False)
     for m, ok in zip(measures, verdicts):

@@ -459,25 +459,26 @@ def reference_check_relaxed_constraints(seq: Spectrum, k: int) -> ConstraintChec
     n = len(values)
     lam1 = values[0] if values else 0.0
 
+    def tol(j):  # 1e-9 of the scale, sum of |x|^j: a plain float sum over the runs
+        return 1e-9 * max(1.0, sum(abs(x) ** j * c for x, c in seq.runs))
+
     odd_sums = []
     satisfied = True
-    base_tol = 1e-9 * n * max(1.0, lam1 * lam1)
     for j in range(1, k - 1, 2):
         total = math.fsum(v**j for v in values)
-        tol_j = base_tol if j <= 3 else 1e-9 * n * max(1.0, abs(lam1) ** j)
-        if abs(total) > tol_j:
+        if abs(total) > tol(j):
             satisfied = False
         odd_sums.append((j, total))
 
     sum2 = math.fsum(v * v for v in values)
     n_lambda1 = n * lam1
-    if sum2 > n_lambda1 + base_tol:
+    if sum2 > n_lambda1 + 1e-9 * max(1.0, sum2):  # sum2 is its own scale
         satisfied = False
 
     return ConstraintCheck(
         odd_sums=tuple(odd_sums),
         sum2=sum2,
         n_lambda1=n_lambda1,
-        tolerance=base_tol,
+        tolerance=tol(1),
         satisfied=satisfied,
     )
