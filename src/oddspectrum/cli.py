@@ -48,6 +48,9 @@ from .gamma5prime import (
 from .graph_core import (
     Graph,
     LabeledGraphs,
+    decode_graph6,
+    edge_bits,
+    graph_from_bits,
     parse_graph6,
     read_graph6_lines,
 )
@@ -74,13 +77,14 @@ def _print_csv(header, rows) -> None:
     writer.writerows(rows)
 
 
-def _read_graph6_file(path: Path):
-    """read_graph6_lines over a file. A byte that is not UTF-8 becomes a lone
-    surrogate, which parse_graph6 rejects as a non-ASCII byte of its line.
-    Lines end only at newlines (\n, \r\n or \r); str.splitlines would also
-    break at form feeds and other separators inside a line."""
-    text = path.read_text(encoding="utf-8", errors="surrogateescape")
-    return read_graph6_lines(text.split("\n"))
+def _read_graph6_file(path: Path, decode=parse_graph6):
+    """read_graph6_lines over a file, read line by line and closed once the
+    lines run out. A byte that is not UTF-8 becomes a lone surrogate, which
+    decode_graph6 rejects as a non-ASCII byte of its line. Universal newlines
+    end lines only at \n, \r\n or \r; str.splitlines would also break at
+    form feeds and other separators inside a line."""
+    with path.open(encoding="utf-8", errors="surrogateescape") as lines:
+        yield from read_graph6_lines(lines, decode)
 
 
 # ----------------------------- analyze ------------------------------------
@@ -212,20 +216,26 @@ class _RowFold:
         )
 
 
-def scan_graphs(items: Iterable[Graph | Graph6ParseError], k: int) -> ScanSummary:
+def scan_graphs(
+    items: Iterable[Graph | tuple[int, bytes] | Graph6ParseError], k: int
+) -> ScanSummary:
     """One pass over the input in chunks of graphs with a common n: gate each
     chunk on odd girth >= k, measure the graphs that pass with one stacked
     eigensolver call, and fold the measures into the row for their n; count
     parse errors as malformed. No report is kept, and no graph beyond one
-    chunk's worth. A graph without vertices raises ValueError.
+    chunk's worth per n. A graph without vertices raises ValueError.
 
-    LabeledGraphs is read as ranges of masks. Other input is buffered per n,
-    so each row sees its graphs in input order, and all buffers are flushed
-    once they hold CHUNK_ENTRIES matrix entries in all, so memory stays flat
-    however many vertex counts the input mixes. Below k = 100 every bound is
-    a constant and the fold needs only the measures; from k = 100 the bounds
-    and proof chains need the whole spectrum, so each qualifying graph is
-    certified. Either way each row's winner is certified once more.
+    LabeledGraphs is read as ranges of masks. Other input is read as edge
+    bits: an (n, bits) pair from decode_graph6 as it is, a Graph through
+    edge_bits. The bits are buffered per n, and n's buffer is flushed as one
+    chunk once it holds chunk_size(n) graphs, so each row sees its graphs in
+    input order and in full chunks. What stays buffered is at most one
+    partial chunk per n, each about CHUNK_ENTRIES/2 bytes of bits: about
+    0.5 MB over every n <= 62, however long the input. A Graph is built only
+    for a row's winner. Below k = 100 every bound is a constant and the fold
+    needs only the measures; from k = 100 the bounds and proof chains need
+    the whole spectrum, so each qualifying graph is certified. Either way
+    each row's winner is certified once more.
     """
     import numpy as np
 
@@ -260,30 +270,28 @@ def scan_graphs(items: Iterable[Graph | Graph6ParseError], k: int) -> ScanSummar
         n, size = items.n, kernel.chunk_size(items.n)
         for start in range(0, len(items), size):
             masks = range(start, min(start + size, len(items)))
-            adj = kernel.mask_adjacency(n, items.pairs, masks)
-            fold_chunk(n, adj, lambda i: items.graph(masks[i]))
+            fold_chunk(n, kernel.mask_adjacency(n, masks), lambda i: items.graph(masks[i]))
         scanned = len(items)
     else:
-        buffers: dict[int, list[Graph]] = {}
-        pending = 0  # matrix entries buffered over every n
+        buffers: dict[int, list[bytes]] = {}
 
-        def flush() -> None:
-            for n, graphs in buffers.items():
-                fold_chunk(n, kernel.graph_adjacency(n, graphs), graphs.__getitem__)
-            buffers.clear()
+        def flush(n: int) -> None:
+            chunk = buffers.pop(n)
+            bits = np.frombuffer(b"".join(chunk), np.uint8).reshape(len(chunk), n * (n - 1) // 2)
+            fold_chunk(n, kernel.bits_adjacency(n, bits), lambda i: graph_from_bits(n, chunk[i]))
 
         for item in items:
             if isinstance(item, Graph6ParseError):
                 malformed += 1
                 continue
             scanned += 1
-            entries = item.n * item.n or 1
-            if pending + entries > kernel.CHUNK_ENTRIES:
-                flush()
-                pending = 0
-            buffers.setdefault(item.n, []).append(item)
-            pending += entries
-        flush()
+            n, bits = (item.n, edge_bits(item)) if isinstance(item, Graph) else item
+            buffer = buffers.setdefault(n, [])
+            buffer.append(bits)
+            if len(buffer) == kernel.chunk_size(n):
+                flush(n)
+        for n in list(buffers):
+            flush(n)
 
     summary_rows = tuple(rows[n].row(n, k) for n in sorted(rows))  # may add violations
     qualifying = sum(fold.count for fold in rows.values())
@@ -326,7 +334,7 @@ def cmd_scan(args) -> int:
         path = Path(args.source)
         if not path.is_file():
             raise ValueError(f"no such file: {path}")
-        items = (item for _, item in _read_graph6_file(path))
+        items = (item for _, item in _read_graph6_file(path, decode_graph6))
 
     summary = scan_graphs(items, args.k)
 

@@ -27,16 +27,23 @@ def chunk_size(n: int) -> int:
     return max(1, CHUNK_ENTRIES // (n * n or 1))
 
 
-def mask_adjacency(n: int, pairs: Sequence[tuple[int, int]], masks: range) -> np.ndarray:
-    """The (B, n, n) 0/1 stack of the graphs numbered by masks, bit j of a
-    mask being the edge pairs[j] (the numbering of LabeledGraphs)."""
-    rows = [u for u, _ in pairs]
-    cols = [v for _, v in pairs]
-    bits = (np.arange(masks.start, masks.stop)[:, None] >> np.arange(len(pairs))) & 1
-    adj = np.zeros((len(masks), n, n), np.float32)
-    adj[:, rows, cols] = bits
-    adj[:, cols, rows] = bits
+def bits_adjacency(n: int, bits: np.ndarray) -> np.ndarray:
+    """The float32 (B, n, n) 0/1 stack of the graphs whose edge bits are the
+    rows of the (B, n(n-1)/2) 0/1 array bits, bit i being column-major pair
+    i, (u, v) at v(v-1)/2 + u, as graph_core.decode_graph6 orders them."""
+    v = np.repeat(np.arange(n), np.arange(n))
+    u = np.arange(len(v)) - v * (v - 1) // 2
+    adj = np.zeros((len(bits), n, n), np.float32)
+    adj[:, u, v] = bits
+    adj[:, v, u] = bits
     return adj
+
+
+def mask_adjacency(n: int, masks: range) -> np.ndarray:
+    """The (B, n, n) 0/1 stack of the graphs numbered by masks, bit i of a
+    mask being edge bit i (the numbering of LabeledGraphs)."""
+    shifts = np.arange(n * (n - 1) // 2)
+    return bits_adjacency(n, np.arange(masks.start, masks.stop)[:, None] >> shifts & 1)
 
 
 def graph_adjacency(n: int, graphs: Sequence[Graph], dtype=np.float32) -> np.ndarray:

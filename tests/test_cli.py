@@ -370,6 +370,29 @@ def test_gamma5_smallest_epsilons_run_in_flat_memory():
     assert int(peak_kb) < 64 * 1024
 
 
+def test_scan_streams_a_long_file_in_flat_memory(tmp_path):
+    # 200,001 lines, read one at a time: the peak stays near a tiny file's.
+    lines = [encode_graph6(cycle_graph(5)), encode_graph6(complete_bipartite(2, 3)), "Dhcc"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    peaks_kb = []
+    for copies in (1, 66_667):
+        path = tmp_path / f"{copies}.g6"
+        path.write_text("\n".join(lines * copies) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", _MEASURED_CLI, "scan", str(path), "--k", "5"],
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"scanned={2 * copies}  qualifying={2 * copies}  ")
+        assert f"malformed={copies}  " in proc.stdout
+        peaks_kb.append(int(proc.stderr.split()[1]))
+    # Holding the file's lines as strings adds about 14 MB.
+    assert peaks_kb[1] - peaks_kb[0] < 4 * 1024
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_pipe_exits_1_without_traceback(unbuffered):
     # `oddspectrum gamma5 ... | head`, with the reader gone before the first

@@ -18,11 +18,12 @@ from oddspectrum import (
     cycle_graph,
     eigenvalues,
     encode_graph6,
+    graph_core,
     odd_girth,
     parse_graph6,
     petersen_graph,
 )
-from oddspectrum.graph_core import MAX_GRAPH6_VERTICES
+from oddspectrum.graph_core import MAX_BFS_SOURCES, MAX_GRAPH6_VERTICES, decode_graph6
 from util import (
     brute_force_odd_girth,
     level_bfs_odd_girth,
@@ -244,12 +245,74 @@ def test_odd_girth_sources_at_word_boundaries(count, where):
     # find the one C_5, whose source is the first or the last.
     lengths = [7] * count
     lengths[where] = 5
+    assert odd_girth(pendant_cycles(lengths)) == 5
+
+
+def pendant_cycles(lengths) -> Graph:
+    """One component per length: a cycle of that length and a pendant vertex
+    on it, numbered first, so that the BFS of odd_girth's first pass roots
+    there. Each odd cycle gives one source."""
     edges, n = [], 0
     for length in lengths:
         edges.append((n, n + 1))
         edges += [(n + 1 + i, n + 1 + (i + 1) % length) for i in range(length)]
         n += length + 1
-    assert odd_girth(Graph(n, edges)) == 5
+    return Graph(n, edges)
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    label = list(range(g.n))
+    random.Random(seed).shuffle(label)
+    return Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+
+
+# (graph, search it takes): BFS from each source up to MAX_BFS_SOURCES
+# sources, walk sets above.
+SELECTION_CASES = {
+    "C101": (lambda: relabelled(cycle_graph(101), 1), "bfs"),  # 1 source
+    "C801": (lambda: relabelled(cycle_graph(801), 2), "bfs"),  # 1 source
+    "C51x4": (lambda: relabelled(blow_up(cycle_graph(51), 4), 3), "bfs"),  # 4 sources
+    "Petersenx20": (lambda: relabelled(blow_up(petersen_graph(), 20), 4), "walk_sets"),  # 80
+    "at_threshold": (lambda: pendant_cycles([7] * (MAX_BFS_SOURCES - 1) + [5]), "bfs"),
+    "past_threshold": (lambda: pendant_cycles([7] * MAX_BFS_SOURCES + [5]), "walk_sets"),
+}
+
+
+def spy_on_odd_girth_searches(monkeypatch) -> list[str]:
+    """The searches odd_girth runs after its first pass, in call order."""
+    taken = []
+    for side, name in (("bfs", "_source_bfs_girth"), ("walk_sets", "_walk_set_girth")):
+        search = getattr(graph_core, name)
+        monkeypatch.setattr(
+            graph_core, name, lambda *args, _s=search, _side=side: taken.append(_side) or _s(*args)
+        )
+    return taken
+
+
+@pytest.mark.parametrize("case", SELECTION_CASES)
+def test_odd_girth_selection_sides(monkeypatch, case):
+    build, side = SELECTION_CASES[case]
+    g = build()
+    taken = spy_on_odd_girth_searches(monkeypatch)
+    assert odd_girth(g) == level_bfs_odd_girth(g)
+    assert taken == [side]
+
+
+def test_odd_girth_selection_sides_on_random_graphs(monkeypatch):
+    # Small graphs have at most n sources, so their BFS runs, checked against
+    # brute force; sparse graphs on 300 vertices have well over 64.
+    taken = spy_on_odd_girth_searches(monkeypatch)
+    rng = random.Random(17)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(5, 9), rng.choice([0.25, 0.4]))
+        del taken[:]
+        assert odd_girth(g) == brute_force_odd_girth(g)
+        assert taken in ([], ["bfs"])
+    for degree in (4, 5):
+        g = random_graph(rng, 300, degree / 300)
+        del taken[:]
+        assert odd_girth(g) == level_bfs_odd_girth(g)
+        assert taken == ["walk_sets"]
 
 
 def test_odd_girth_many_sources_in_one_component():
@@ -318,9 +381,13 @@ def test_graph6_round_trips():
     ],
 )
 def test_parse_graph6_errors(text, offset):
-    with pytest.raises(Graph6ParseError) as exc_info:
-        parse_graph6(text)
-    assert exc_info.value.offset == offset
+    errors = []
+    for decode in (parse_graph6, decode_graph6):
+        with pytest.raises(Graph6ParseError) as exc_info:
+            decode(text)
+        errors.append((str(exc_info.value), exc_info.value.offset))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == offset
 
 
 def test_parse_graph6_rejects_nonzero_padding():
@@ -359,17 +426,22 @@ def _assert_like_built_graph(g):
 
 
 def _assert_parsers_agree(text):
-    # The same graph, edge tuple included, or the same error at the same offset.
+    # The same graph, edge tuple included, or the same error at the same
+    # offset; from parse_graph6 and from decode_graph6's bits alike.
     try:
         want = reference_parse_graph6(text)
     except Graph6ParseError as exc:
-        with pytest.raises(Graph6ParseError) as got:
-            parse_graph6(text)
-        assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
+        for decode in (parse_graph6, decode_graph6):
+            with pytest.raises(Graph6ParseError) as got:
+                decode(text)
+            assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
     else:
         g = parse_graph6(text)
         assert (g.n, g.edges) == (want.n, want.edges)
         _assert_like_built_graph(g)
+        n, bits = decode_graph6(text)
+        edges = set(want.edges)
+        assert (n, bits) == (want.n, bytes((u, v) in edges for v in range(n) for u in range(v)))
 
 
 @st.composite

@@ -2,6 +2,7 @@
 gate against odd_girth and exact traces, and the lazy numpy import."""
 
 import functools
+import math
 import os
 import random
 import subprocess
@@ -29,6 +30,7 @@ from oddspectrum import (
 )
 from oddspectrum.bounds import COMPARISON_RTOL, _bound_entry, count_violations
 from oddspectrum.cli import main, scan_graphs
+from oddspectrum.graph_core import decode_graph6
 from util import per_graph_scan, random_graph, trace_powers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -93,6 +95,45 @@ def test_mixed_graph6_matches_per_graph_scan(monkeypatch, k, chunk_entries):
     assert summary == per_graph_scan(mixed_items(), k)
     assert summary.malformed_lines == 4
     assert {row.n: row for row in summary.rows}[3].argmax_graph == "BG"
+    # The route cmd_scan takes: edge bits from decode_graph6, not Graphs.
+    bits = (item for _, item in read_graph6_lines(mixed_lines(), decode_graph6))
+    assert scan_graphs(bits, k) == summary
+
+
+def test_file_chunks_fill_per_vertex_count(monkeypatch, tmp_path, capsys):
+    # Graphs on 4, 5 and 6 vertices, interleaved. Each n fills chunks of its
+    # own, so the stacked eigensolver runs once per full chunk of each n, once
+    # per n on the remainder, and once per row on its winner's certificate.
+    monkeypatch.setattr(scan_kernel, "CHUNK_ENTRIES", 100)
+    counts = {4: 13, 5: 9, 6: 7}
+    rng = random.Random(11)
+    graphs = [random_graph(rng, n) for n, count in counts.items() for _ in range(count)]
+    rng.shuffle(graphs)
+    path = tmp_path / "interleaved.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    stacks = []
+    eigvalsh = scan_kernel.eigvalsh
+
+    def spy(adj):
+        stacks.append(len(adj))
+        return eigvalsh(adj)
+
+    monkeypatch.setattr(scan_kernel, "eigvalsh", spy)
+    main(["scan", str(path), "--k", "3"])  # at k = 3 every graph qualifies
+    assert "qualifying=29 " in capsys.readouterr().out
+    sizes = {n: scan_kernel.chunk_size(n) for n in counts}
+    assert len(stacks) == sum(math.ceil(counts[n] / sizes[n]) for n in counts) + len(counts)
+    want = [1] * len(counts)  # the winners
+    for n, count in counts.items():
+        want += [sizes[n]] * (count // sizes[n]) + [count % sizes[n]] * (count % sizes[n] > 0)
+    assert sorted(stacks) == sorted(want)
+
+
+def test_library_graphs_past_graph6_sizes_match_per_graph_scan():
+    # Graphs on more than 62 vertices go through the same edge bits.
+    graphs = [cycle_graph(101), blow_up(cycle_graph(13), 5), cycle_graph(103), Graph(70)]
+    for k in (5, 101):
+        assert scan_graphs(iter(graphs), k) == per_graph_scan(graphs, k)
 
 
 def test_enumeration_masks_build_the_enumerated_graphs():
@@ -100,7 +141,7 @@ def test_enumeration_masks_build_the_enumerated_graphs():
         graphs = LabeledGraphs(n)
         masks = range(len(graphs))
         assert (
-            scan_kernel.mask_adjacency(n, graphs.pairs, masks)
+            scan_kernel.mask_adjacency(n, masks)
             == scan_kernel.graph_adjacency(n, list(graphs))
         ).all()
 
