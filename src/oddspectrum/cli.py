@@ -83,7 +83,11 @@ def _read_graph6_file(path: Path, decode=parse_graph6):
     decode_graph6 rejects as a non-ASCII byte of its line. Universal newlines
     end lines only at \n, \r\n or \r; str.splitlines would also break at
     form feeds and other separators inside a line."""
-    with path.open(encoding="utf-8", errors="surrogateescape") as lines:
+    try:
+        lines = path.open(encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    with lines:
         yield from read_graph6_lines(lines, decode)
 
 
@@ -176,23 +180,24 @@ class ScanSummary:
 @dataclass
 class _RowFold:
     """A ScanRow under construction: chunks of measures are folded in as they
-    arrive, and of the graphs only the first of largest measure is kept."""
+    arrive, and of the graphs only the first of largest measure is kept, as
+    its edge bits."""
 
     count: int = 0
     violations: int = 0
     max_measure: float = -math.inf
-    winner: Graph | None = None
+    winner: bytes = b""
     min_slack: float | None = None
 
-    def add(self, measures, slacks, violations: int, graph_at) -> None:
-        """measures and slacks: numpy arrays over a chunk's qualifying graphs
-        (slacks None when no bound applies); graph_at(i) builds graph i."""
+    def add(self, measures, slacks, violations: int, bits) -> None:
+        """measures, slacks and bits (edge bit rows): numpy arrays over a
+        chunk's qualifying graphs; slacks None when no bound applies."""
         self.count += len(measures)
         self.violations += violations
         i = int(measures.argmax())  # the first of equal maxima in the chunk
         if measures[i] > self.max_measure:  # strict: an earlier chunk's stays
             self.max_measure = float(measures[i])
-            self.winner = graph_at(i)
+            self.winner = bits[i].tobytes()
         if slacks is not None:
             slack = float(slacks.min())
             if self.min_slack is None or slack < self.min_slack:
@@ -201,7 +206,7 @@ class _RowFold:
     def row(self, n: int, k: int) -> ScanRow:
         """Certify the winner for its graph6 id and tightest bound. A report
         whose measure is not the kernel's, bit for bit, counts as a violation."""
-        report = certify(self.winner, k)
+        report = certify(graph_from_bits(n, self.winner), k)
         self.violations += report.measure != self.max_measure
         tight = report.tightest_bound()
         return ScanRow(
@@ -225,14 +230,15 @@ def scan_graphs(
     parse errors as malformed. No report is kept, and no graph beyond one
     chunk's worth per n. A graph without vertices raises ValueError.
 
-    LabeledGraphs is read as ranges of masks. Other input is read as edge
-    bits: an (n, bits) pair from decode_graph6 as it is, a Graph through
-    edge_bits. The bits are buffered per n, and n's buffer is flushed as one
-    chunk once it holds chunk_size(n) graphs, so each row sees its graphs in
-    input order and in full chunks. What stays buffered is at most one
-    partial chunk per n, each about CHUNK_ENTRIES/2 bytes of bits: about
-    0.5 MB over every n <= 62, however long the input. A Graph is built only
-    for a row's winner. Below k = 100 every bound is a constant and the fold
+    Every chunk is a uint8 array of edge bit rows. LabeledGraphs gives them
+    as ranges of masks, a mask's bits being its row. Other input gives
+    (n, bits) pairs from decode_graph6 as they are, a Graph through
+    edge_bits, buffered per n; n's buffer is flushed as one chunk once it
+    holds chunk_size(n) graphs, so each row sees its graphs in input order
+    and in full chunks. What stays buffered is at most one partial chunk per
+    n, each about CHUNK_ENTRIES/2 bytes of bits: about 0.5 MB over every
+    n <= 62, however long the input. A Graph is built only for a row's
+    winner. Below k = 100 every bound is a constant and the fold
     needs only the measures; from k = 100 the bounds and proof chains need
     the whole spectrum, so each qualifying graph is certified. Either way
     each row's winner is certified once more.
@@ -246,9 +252,10 @@ def scan_graphs(
     tightest = min(consts, default=None)
     rows: dict[int, _RowFold] = {}
 
-    def fold_chunk(n: int, adj, graph_at) -> None:
+    def fold_chunk(n: int, bits) -> None:
         if n == 0:
             raise ValueError("certification needs at least one vertex")
+        adj = kernel.bits_adjacency(n, bits)
         keep = np.flatnonzero(kernel.odd_walk_free(adj, k))
         if not len(keep):
             return
@@ -257,20 +264,19 @@ def scan_graphs(
             slacks = None if tightest is None else tightest - measures
             violations = count_violations(measures, consts)
         else:
-            reports = [certify(graph_at(i), k) for i in keep]
+            reports = [certify(graph_from_bits(n, bits[i].tobytes()), k) for i in keep]
             measures = np.array([r.measure for r in reports])
             slacks = np.array([r.tightest_bound().slack for r in reports])
             violations = sum(not r.passed for r in reports)
-        rows.setdefault(n, _RowFold()).add(
-            measures, slacks, violations, lambda i: graph_at(keep[i])
-        )
+        rows.setdefault(n, _RowFold()).add(measures, slacks, violations, bits[keep])
 
     scanned = malformed = 0
     if isinstance(items, LabeledGraphs):
         n, size = items.n, kernel.chunk_size(items.n)
+        shifts = np.arange(n * (n - 1) // 2)
         for start in range(0, len(items), size):
-            masks = range(start, min(start + size, len(items)))
-            fold_chunk(n, kernel.mask_adjacency(n, masks), lambda i: items.graph(masks[i]))
+            masks = np.arange(start, min(start + size, len(items)))
+            fold_chunk(n, (masks[:, None] >> shifts & 1).astype(np.uint8))
         scanned = len(items)
     else:
         buffers: dict[int, list[bytes]] = {}
@@ -278,7 +284,7 @@ def scan_graphs(
         def flush(n: int) -> None:
             chunk = buffers.pop(n)
             bits = np.frombuffer(b"".join(chunk), np.uint8).reshape(len(chunk), n * (n - 1) // 2)
-            fold_chunk(n, kernel.bits_adjacency(n, bits), lambda i: graph_from_bits(n, chunk[i]))
+            fold_chunk(n, bits)
 
         for item in items:
             if isinstance(item, Graph6ParseError):

@@ -134,8 +134,8 @@ def odd_girth(g: Graph) -> float:
 
     Then the sources settle it, by one of two searches of equal result chosen
     by their number: up to MAX_BFS_SOURCES, a plain BFS from each source
-    (_source_bfs_girth, O(sources * (n + m)) steps of Python); above it, one
-    numpy pass on walk sets from all sources at once (_walk_set_girth), whose
+    (_source_bfs_girth, O(sources * (n + m)) steps of Python); above it, a
+    numpy BFS on walk sets from 64 sources at a time (_walk_set_girth), whose
     fixed cost per level only pays off when many sources share it.
     """
     n = g.n
@@ -143,13 +143,13 @@ def odd_girth(g: Graph) -> float:
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    best, sources, kept = INFINITE, set(), []
+    best, sources = INFINITE, set()
     depth = [-1] * n
     for root in range(n):
         if depth[root] >= 0:
             continue
         depth[root] = 0
-        component, level, d, found = [root], [root], 0, len(sources)
+        level, d = [root], 0
         while level:
             below = []
             for v in level:
@@ -160,22 +160,19 @@ def odd_girth(g: Graph) -> float:
                     elif depth[w] == d and w not in sources:
                         sources.add(v)
                         best = min(best, 2 * d + 1)
-            component += below
             level, d = below, d + 1
-        if len(sources) > found:
-            kept += component
     if best == 3 or not sources:  # nothing is shorter than a triangle
         return best
     if len(sources) <= MAX_BFS_SOURCES:
         return _source_bfs_girth(adj, sources, best)
-    return _walk_set_girth(adj, sorted(sources), kept, best)
+    return _walk_set_girth(adj, sorted(sources), best)
 
 
 # Sources up to which odd_girth runs a BFS from each rather than the walk-set
-# pass: one uint64 word of walk set per vertex. On a 2-vCPU x86-64 VM
-# (median of 15 calls), odd_girth on C801 (one source) takes 0.8 ms with the
-# BFS against 13 ms on walk sets, and on the blow-up of Petersen by 20
-# (80 sources) 19 ms against 6 ms.
+# pass, whose batch is the 64 sources of one uint64 word. On a 2-vCPU x86-64
+# VM (median of 15 calls, two runs), odd_girth on C801 (one source) takes 0.4
+# to 0.8 ms with the BFS against 12 ms on walk sets, and on the blow-up of
+# Petersen by 20 (80 sources) 12 to 18 ms against 2 ms.
 MAX_BFS_SOURCES = 64
 
 
@@ -207,43 +204,37 @@ def _source_bfs_girth(adj: list[list[int]], sources, best) -> float:
     return best
 
 
-def _walk_set_girth(adj: list[list[int]], sources: list[int], kept: list[int], best) -> float:
-    """The odd girth by a BFS from every source at once, on walk sets, over
-    kept, the vertices of the components that hold a source; best is an odd
-    closed walk's length, to beat.
+def _walk_set_girth(adj: list[list[int]], sources: list[int], best) -> float:
+    """The odd girth by a BFS on walk sets from 64 sources at a time, given
+    best, an odd closed walk's length, to beat.
 
-    W_d[v] is the set of sources with a walk of length exactly d to v, packed
-    as ceil(sources/64) uint64 words per vertex: W_0[s] = {s}, and
-    W_{d+1}[v] is the union of W_d[u] over the neighbours u of v. A shortest
+    W_d[v] is the set of a batch's sources with a walk of length exactly d
+    to v, one bit per source in one uint64 per vertex: W_0[s] = {s}, and
+    W_{d+1}[v] is the OR of W_d[u] over the neighbours u of v. A shortest
     odd cycle is a closed walk of its own length from each of its vertices,
     so the first odd d at which some source s lies in W_d[s] is the odd
-    girth. Levels run up to best less two; with no hit there, best is the
-    odd girth. Vertices are relabelled by degree, descending, so the vertices
-    with more than j neighbours form a prefix and slot j ORs in their j-th
-    neighbours' rows in place. Each level ORs 2m rows, so the pass costs
-    O(girth * 2m * ceil(sources/64)) word operations.
+    girth. Levels run up to best less two, and a hit lowers best for the
+    batches after. Each level is one gather of W_d over the neighbour lists
+    laid end to end and one OR-reduce per list, so a batch costs
+    O(girth * 2m) word operations.
     """
     import numpy as np  # here, so that importing graph_core loads no numpy
 
-    kept.sort(key=lambda v: -len(adj[v]))
-    label = [0] * len(adj)
-    for i, v in enumerate(kept):
-        label[v] = i
-    # Slot j: the j-th neighbours of the vertices of degree > j, a prefix.
-    columns = itertools.zip_longest(*([label[w] for w in adj[v]] for v in kept))
-    slots = [np.array([w for w in column if w is not None]) for column in columns]
-    words = -(-len(sources) // 64)
-    own = np.array([label[s] * words + (i >> 6) for i, s in enumerate(sources)])
-    bits = np.array([1 << (i & 63) for i in range(len(sources))], dtype=np.uint64)
-    walks = np.zeros((len(kept), words), dtype=np.uint64)
-    walks.flat[own] = bits
-    for d in range(1, best - 1):
-        after = walks[slots[0]]
-        for neighbour in slots[1:]:
-            after[: len(neighbour)] |= walks[neighbour]
-        walks = after
-        if d % 2 and (walks.take(own) & bits).any():
-            return d
+    degree = np.array([len(neighbours) for neighbours in adj])
+    ends = np.array([w for neighbours in adj for w in neighbours])
+    # Only vertices with neighbours: reduceat reads an empty list as one entry.
+    linked = np.flatnonzero(degree)
+    starts = (np.cumsum(degree) - degree)[linked]
+    for i in range(0, len(sources), 64):
+        batch = np.array(sources[i : i + 64])
+        bits = np.uint64(1) << np.arange(len(batch), dtype=np.uint64)
+        walks = np.zeros(len(adj), np.uint64)
+        walks[batch] = bits
+        for d in range(1, best - 1):
+            walks[linked] = np.bitwise_or.reduceat(walks.take(ends), starts)
+            if d % 2 and (walks[batch] & bits).any():
+                best = d
+                break
     return best
 
 
@@ -372,13 +363,13 @@ def encode_graph6(g: Graph) -> str:
 class LabeledGraphs:
     """Every labeled simple graph on n vertices, in edge-bitmask order.
 
-    Bit j of the mask controls the j-th pair in column-major upper-triangle
-    order (``pairs``). Iterating yields the graphs; a batch reader can take
-    ranges of masks instead and build only the graphs it needs with graph().
-    No isomorphism reduction is performed.
+    Bit j of the mask is edge bit j, as decode_graph6 orders them, and
+    graph() builds through graph_from_bits. Iterating yields the graphs; a
+    batch reader can take ranges of masks instead and build only the graphs
+    it needs with graph(). No isomorphism reduction is performed.
     """
 
-    __slots__ = ("n", "pairs")
+    __slots__ = ("n",)
 
     def __init__(self, n: int):
         if n < 0:
@@ -388,16 +379,16 @@ class LabeledGraphs:
                 f"enumeration limited to n <= {MAX_ENUMERATION_VERTICES}, got {n}"
             )
         self.n = n
-        self.pairs = tuple(_upper_triangle_pairs(n))
 
     def __len__(self) -> int:
-        return 1 << len(self.pairs)
+        return 1 << (self.n * (self.n - 1) // 2)
 
     def __iter__(self) -> Iterator[Graph]:
         return map(self.graph, range(len(self)))
 
     def graph(self, mask: int) -> Graph:
-        return Graph(self.n, [pair for j, pair in enumerate(self.pairs) if mask >> j & 1])
+        pairs = self.n * (self.n - 1) // 2
+        return graph_from_bits(self.n, bytes(mask >> j & 1 for j in range(pairs)))
 
 
 def read_graph6_lines(

@@ -59,7 +59,7 @@ def chebyshev_T(j: int, x: float) -> float:
     without the j steps. Inside (-1, 1) the recurrence is used directly. For
     x > 1 the closed form ((x + sqrt(x^2-1))^j + (x - sqrt(x^2-1))^j) / 2 is
     evaluated with the second term as a reciprocal power, avoiding the
-    subtractive cancellation.
+    subtractive cancellation; past the float range it is inf.
     x < -1 reduces by parity T_j(-x) = (-1)^j T_j(x).
     """
     if j < 0:
@@ -70,7 +70,10 @@ def chebyshev_T(j: int, x: float) -> float:
         return -1.0 if j % 2 else 1.0
     if x > 1.0:
         u = x + math.sqrt(x * x - 1.0)
-        return 0.5 * (u**j + u**-j)
+        try:
+            return 0.5 * (u**j + u**-j)
+        except OverflowError:  # u**j is past the float range
+            return math.inf
     if x < -1.0:
         value = chebyshev_T(j, -x)
         return -value if j % 2 else value

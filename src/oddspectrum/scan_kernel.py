@@ -39,13 +39,6 @@ def bits_adjacency(n: int, bits: np.ndarray) -> np.ndarray:
     return adj
 
 
-def mask_adjacency(n: int, masks: range) -> np.ndarray:
-    """The (B, n, n) 0/1 stack of the graphs numbered by masks, bit i of a
-    mask being edge bit i (the numbering of LabeledGraphs)."""
-    shifts = np.arange(n * (n - 1) // 2)
-    return bits_adjacency(n, np.arange(masks.start, masks.stop)[:, None] >> shifts & 1)
-
-
 def graph_adjacency(n: int, graphs: Sequence[Graph], dtype=np.float32) -> np.ndarray:
     """The (B, n, n) 0/1 stack of graphs, all on n vertices: float32 for the
     gate, float64 (or float) for the eigensolver, which then copies nothing."""

@@ -104,6 +104,29 @@ def test_parse_error_offsets_count_bytes(tmp_path, capsys):
     assert "line 1: non-ASCII byte in graph6 input (byte offset 3)" in err
 
 
+def test_analyze_chain_past_the_float_range(capsys):
+    # A bipartite graph whose float lambda1/|lambda_n| is just above 1, so
+    # T_(k-4) of it overflows; the chain line is printed, not a traceback.
+    code, out, _ = run_cli(capsys, "analyze", "O????AXyCUGouor?EGAq?", "--k", "40000000001")
+    assert code in (0, 1)
+    assert "chain lambda1^2 * T_39999999997(lambda1/|lambda_n|) <= n*lambda1: inf <= " in out
+
+
+def test_unreadable_file_exits_2(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "graphs.g6"
+    corpus.write_text("Dhc\n")
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "open", denied)
+    for command in ("scan", "analyze"):
+        code, out, err = run_cli(capsys, command, str(corpus), "--k", "5")
+        assert code == 2
+        assert out == ""
+        assert f"cannot read {corpus}: " in err and "Permission denied" in err
+
+
 def test_analyze_even_k_exits_2(capsys):
     code, out, _ = run_cli(capsys, "analyze", "Dhc", "--k", "4")
     assert code == 2

@@ -236,16 +236,31 @@ def test_odd_girth_long_path_is_bipartite():
     assert odd_girth(Graph(300, [(i, i + 1) for i in range(299)])) == INFINITE
 
 
-@pytest.mark.parametrize("count", [63, 64, 65, 127, 128, 129])
-@pytest.mark.parametrize("where", [0, -1])
-def test_odd_girth_sources_at_word_boundaries(count, where):
+@pytest.mark.parametrize(
+    "where, count, beside",
+    [
+        pytest.param(where, count, beside, id=f"{where}-{count}" + (f"-{beside}" if beside else ""))
+        for where in (0, -1)
+        for count in (63, 64, 65, 127, 128, 129)
+        for beside in ("", "isolated", "bipartite")
+    ],
+)
+def test_odd_girth_sources_at_word_boundaries(where, count, beside):
     # count components, each a pendant vertex on an odd cycle: one source per
-    # cycle, so the walk sets take ceil(count/64) words. The BFS from the
+    # cycle, so the walk sets take ceil(count/64) batches. The BFS from the
     # pendant vertex bounds a C_5 by 7 and a C_7 by 9, so only the walk sets
-    # find the one C_5, whose source is the first or the last.
+    # find the one C_5, whose source is the first or the last. Beside them,
+    # the highest-numbered vertices may be isolated, or form a large
+    # bipartite component without sources.
     lengths = [7] * count
     lengths[where] = 5
-    assert odd_girth(pendant_cycles(lengths)) == 5
+    g = pendant_cycles(lengths)
+    if beside == "isolated":
+        g = Graph(g.n + 70, g.edges)
+    elif beside == "bipartite":
+        even = blow_up(cycle_graph(40), 10)
+        g = Graph(g.n + even.n, g.edges + tuple((g.n + u, g.n + v) for u, v in even.edges))
+    assert odd_girth(g) == 5
 
 
 def pendant_cycles(lengths) -> Graph:

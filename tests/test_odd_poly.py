@@ -82,6 +82,12 @@ def test_chebyshev_at_the_interval_ends_matches_the_recurrence():
     assert chebyshev_T(10**7 + 1, -1.0) == -1.0
 
 
+def test_chebyshev_past_the_float_range_is_infinite():
+    # (x + sqrt(x^2 - 1))^j overflows here, and the reflection keeps the sign.
+    assert chebyshev_T(10**11, 1 + 2**-52) == math.inf
+    assert chebyshev_T(10**11 + 1, -(1 + 2**-52)) == -math.inf
+
+
 def test_chebyshev_recurrence_vs_closed_form():
     xs = [1.0 + 9.0 * i / 99 for i in range(100)]
     for j in range(100):

@@ -137,11 +137,13 @@ def test_library_graphs_past_graph6_sizes_match_per_graph_scan():
 
 
 def test_enumeration_masks_build_the_enumerated_graphs():
+    # Bit j of a mask is edge bit j: the pair order of bits_adjacency is the
+    # one LabeledGraphs builds its graphs in.
     for n in range(6):
         graphs = LabeledGraphs(n)
-        masks = range(len(graphs))
+        bits = np.arange(len(graphs))[:, None] >> np.arange(n * (n - 1) // 2) & 1
         assert (
-            scan_kernel.mask_adjacency(n, masks)
+            scan_kernel.bits_adjacency(n, bits.astype(np.uint8))
             == scan_kernel.graph_adjacency(n, list(graphs))
         ).all()
 
