@@ -212,7 +212,7 @@ def _odd_trace_chain(g: Graph, k: int) -> ChainCheck:
 
     from . import scan_kernel
 
-    adj = scan_kernel.graph_adjacency(g.n, [g])
+    adj = scan_kernel.graph_adjacency(g)
     worst = 0
     if not scan_kernel.odd_walk_free(adj, k)[0]:
         worst = np.linalg.matrix_power(adj[0].astype(int).astype(object), k - 2).trace()

@@ -45,15 +45,7 @@ from .gamma5prime import (
     maximize_objective,
     n_epsilon,
 )
-from .graph_core import (
-    Graph,
-    LabeledGraphs,
-    decode_graph6,
-    edge_bits,
-    graph_from_bits,
-    parse_graph6,
-    read_graph6_lines,
-)
+from .graph_core import LabeledGraphs, graph_from_bits, parse_graph6, read_graph6_lines
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -77,7 +69,7 @@ def _print_csv(header, rows) -> None:
     writer.writerows(rows)
 
 
-def _read_graph6_file(path: Path, decode=parse_graph6):
+def _read_graph6_file(path: Path):
     """read_graph6_lines over a file, read line by line and closed once the
     lines run out. A byte that is not UTF-8 becomes a lone surrogate, which
     decode_graph6 rejects as a non-ASCII byte of its line. Universal newlines
@@ -88,7 +80,7 @@ def _read_graph6_file(path: Path, decode=parse_graph6):
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     with lines:
-        yield from read_graph6_lines(lines, decode)
+        yield from read_graph6_lines(lines)
 
 
 # ----------------------------- analyze ------------------------------------
@@ -130,11 +122,14 @@ def cmd_analyze(args) -> int:
         for lineno, item in _read_graph6_file(path):
             if isinstance(item, Graph6ParseError):
                 raise ValueError(f"line {lineno}: {item}")
-            graphs.append(item)
+            graphs.append(graph_from_bits(*item))
         if not graphs:
             raise ValueError(f"no graphs in {path}")
     else:
-        graphs = [parse_graph6(args.source)]
+        try:
+            graphs = [parse_graph6(args.source)]
+        except Graph6ParseError as exc:
+            raise ValueError(f"{args.source!r} is neither a file nor graph6: {exc}") from None
 
     reports = [certify(g, args.k) for g in graphs]
 
@@ -222,7 +217,7 @@ class _RowFold:
 
 
 def scan_graphs(
-    items: Iterable[Graph | tuple[int, bytes] | Graph6ParseError], k: int
+    items: LabeledGraphs | Iterable[tuple[int, bytes] | Graph6ParseError], k: int
 ) -> ScanSummary:
     """One pass over the input in chunks of graphs with a common n: gate each
     chunk on odd girth >= k, measure the graphs that pass with one stacked
@@ -231,14 +226,13 @@ def scan_graphs(
     chunk's worth per n. A graph without vertices raises ValueError.
 
     Every chunk is a uint8 array of edge bit rows. LabeledGraphs gives them
-    as ranges of masks, a mask's bits being its row. Other input gives
-    (n, bits) pairs from decode_graph6 as they are, a Graph through
-    edge_bits, buffered per n; n's buffer is flushed as one chunk once it
-    holds chunk_size(n) graphs, so each row sees its graphs in input order
-    and in full chunks. What stays buffered is at most one partial chunk per
-    n, each about CHUNK_ENTRIES/2 bytes of bits: about 0.5 MB over every
-    n <= 62, however long the input. A Graph is built only for a row's
-    winner. Below k = 100 every bound is a constant and the fold
+    as ranges of masks, a mask's bits being its row. Other input is (n, bits)
+    rows, as decode_graph6 gives them, buffered per n; n's buffer is flushed
+    as one chunk once it holds chunk_size(n) graphs, so each row sees its
+    graphs in input order and in full chunks. What stays buffered is at most
+    one partial chunk per n, each about CHUNK_ENTRIES/2 bytes of bits: about
+    0.5 MB over every n <= 62, however long the input. A Graph is built only
+    for a row's winner. Below k = 100 every bound is a constant and the fold
     needs only the measures; from k = 100 the bounds and proof chains need
     the whole spectrum, so each qualifying graph is certified. Either way
     each row's winner is certified once more.
@@ -291,7 +285,7 @@ def scan_graphs(
                 malformed += 1
                 continue
             scanned += 1
-            n, bits = (item.n, edge_bits(item)) if isinstance(item, Graph) else item
+            n, bits = item
             buffer = buffers.setdefault(n, [])
             buffer.append(bits)
             if len(buffer) == kernel.chunk_size(n):
@@ -340,7 +334,7 @@ def cmd_scan(args) -> int:
         path = Path(args.source)
         if not path.is_file():
             raise ValueError(f"no such file: {path}")
-        items = (item for _, item in _read_graph6_file(path, decode_graph6))
+        items = (item for _, item in _read_graph6_file(path))
 
     summary = scan_graphs(items, args.k)
 

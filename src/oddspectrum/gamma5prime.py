@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, UnsupportedSizeError, require_odd_k
+from .errors import InfeasibleError, require_odd_k
 from .spectral import Spectrum
 
 # Where the scaled-by-n extremal construction concentrates: one positive head
@@ -197,22 +197,19 @@ def n_epsilon(epsilon: float) -> float:
     """Size threshold 15 + sqrt((14 - (14 - eps)^(1/3))^3 / eps) above which
     the extremal construction is feasible.
 
-    UnsupportedSizeError if it overflows (eps below about 8.7e-306);
-    otherwise ValueError for eps at or below EPSILON_FLOOR = 2^-50, about
-    8.9e-16, where 14 - eps rounds to 14.
+    ValueError for eps at or below EPSILON_FLOOR = 2^-50, about 8.9e-16,
+    where 14 - eps rounds to 14. The threshold would overflow a float only
+    below about 8.7e-306, far under the floor.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    c = 14.0 - (14.0 - epsilon) ** (1.0 / 3.0)
-    threshold = 15.0 + math.sqrt(c**3 / epsilon)
-    if math.isinf(threshold):
-        raise UnsupportedSizeError(f"size threshold for epsilon = {epsilon} overflows")
     if epsilon <= EPSILON_FLOOR:
         raise ValueError(
             f"epsilon must exceed 2^-50 = {EPSILON_FLOOR:.3g}, where 14 - epsilon "
             f"rounds to 14; got {epsilon}"
         )
-    return threshold
+    c = 14.0 - (14.0 - epsilon) ** (1.0 / 3.0)
+    return 15.0 + math.sqrt(c**3 / epsilon)
 
 
 def extremal_sequence(epsilon: float, n: int) -> Spectrum:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 from .errors import Graph6ParseError, UnsupportedSizeError
 
@@ -22,8 +22,6 @@ MAX_ENUMERATION_VERTICES = 8
 MAX_GRAPH6_VERTICES = 62
 
 GRAPH6_HEADER_PREFIX = ">>graph6<<"
-
-_T = TypeVar("_T")
 
 
 class Graph:
@@ -392,20 +390,19 @@ class LabeledGraphs:
 
 
 def read_graph6_lines(
-    lines: Iterable[str], decode: Callable[[str], _T] = parse_graph6
-) -> Iterator[tuple[int, _T | Graph6ParseError]]:
-    """Decode an iterable of graph6 lines, yielding (line_number, result).
-
-    Each line goes through decode: parse_graph6 gives Graphs, decode_graph6
-    (n, bits) pairs. Lines are consumed one at a time, so a file object
-    streams. Blank lines and a bare format header are skipped; malformed
-    lines yield the parse error instead so callers can count and continue.
+    lines: Iterable[str],
+) -> Iterator[tuple[int, tuple[int, bytes] | Graph6ParseError]]:
+    """Decode an iterable of graph6 lines, yielding (line_number, result):
+    decode_graph6's (n, bits) row, or its parse error so callers can count
+    and continue. Lines are consumed one at a time, so a file object
+    streams. Blank lines and a bare format header yield nothing, though the
+    line numbers count them.
     """
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped == GRAPH6_HEADER_PREFIX:
             continue
         try:
-            yield lineno, decode(line)
+            yield lineno, decode_graph6(line)
         except Graph6ParseError as exc:
             yield lineno, exc

@@ -9,8 +9,6 @@ that run LAPACK and by no other.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConvergenceError, require_odd_k
@@ -39,14 +37,13 @@ def bits_adjacency(n: int, bits: np.ndarray) -> np.ndarray:
     return adj
 
 
-def graph_adjacency(n: int, graphs: Sequence[Graph], dtype=np.float32) -> np.ndarray:
-    """The (B, n, n) 0/1 stack of graphs, all on n vertices: float32 for the
-    gate, float64 (or float) for the eigensolver, which then copies nothing."""
-    adj = np.zeros((len(graphs), n, n), dtype)
-    for a, g in zip(adj, graphs):
-        if g.edges:
-            u, v = zip(*g.edges)
-            a[u, v] = a[v, u] = 1
+def graph_adjacency(g: Graph, dtype=np.float32) -> np.ndarray:
+    """The (1, n, n) 0/1 stack of g alone: float32 for the gate, float64 (or
+    float) for the eigensolver, which then copies nothing."""
+    adj = np.zeros((1, g.n, g.n), dtype)
+    if g.edges:
+        u, v = zip(*g.edges)
+        adj[0, u, v] = adj[0, v, u] = 1
     return adj
 
 

@@ -103,5 +103,5 @@ def eigenvalues(g: Graph) -> Spectrum:
     """
     from . import scan_kernel  # here, so that commands without a spectrum never load numpy
 
-    vals = scan_kernel.eigvalsh(scan_kernel.graph_adjacency(g.n, [g], float))[0]
+    vals = scan_kernel.eigvalsh(scan_kernel.graph_adjacency(g, float))[0]
     return Spectrum(vals[::-1].tolist())

@@ -96,7 +96,7 @@ def test_criterion_03_exact_trace_identities():
             ok = ok and trace_powers(g, j)[-1] == 0
         ok = ok and trace_powers(g, k)[-1] != 0
         # The package decides the same fact with the scan kernel's gate.
-        adj = graph_adjacency(k, [g])
+        adj = graph_adjacency(g)
         ok = ok and bool(odd_walk_free(adj, k)[0])
         ok = ok and not odd_walk_free(adj, k + 2)[0]
         ok = ok and certify(g, k).chain_checks[0].left == 0.0

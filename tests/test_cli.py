@@ -17,6 +17,7 @@ from oddspectrum import (
     encode_graph6,
 )
 from oddspectrum.cli import main, scan_graphs
+from util import rows
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -87,6 +88,19 @@ def test_analyze_parse_error_exits_2(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert message in err
+
+
+def test_analyze_names_both_readings_of_a_missing_file(tmp_path, capsys, monkeypatch):
+    # No file of that name, and not graph6 either ("c" is a header for
+    # n = 36): the message says so, and gives the parse error.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "analyze", "corpus.g6", "--k", "5")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: 'corpus.g6' is neither a file nor graph6: "
+        "truncated input: need 105 data bytes for n = 36 (byte offset 9)\n"
+    )
 
 
 def test_parse_error_offsets_count_bytes(tmp_path, capsys):
@@ -255,8 +269,8 @@ def test_analyze_file_counts_lines_only_at_newlines(tmp_path, capsys):
 def test_scan_summary_from_one_shot_generator():
     # The scan reads its input once, so a generator that can be iterated only
     # once gives the same summary as a list.
-    items = [*LabeledGraphs(5), Graph6ParseError("bad line", 0), cycle_graph(7)]
-    items += [cycle_graph(5), complete_bipartite(3, 4)]
+    items = [*rows(LabeledGraphs(5)), Graph6ParseError("bad line", 0)]
+    items += rows([cycle_graph(7), cycle_graph(5), complete_bipartite(3, 4)])
     summary = scan_graphs(iter(items), 5)
     assert summary == scan_graphs(items, 5)
     assert (summary.scanned, summary.malformed_lines) == (len(items) - 1, 1)
@@ -266,7 +280,7 @@ def test_scan_summary_from_one_shot_generator():
 def test_scan_row_keeps_first_of_equal_maxima():
     # One edge on three vertices, three ways: every measure is exactly 0.0.
     graphs = [Graph(3, [edge]) for edge in [(1, 2), (0, 1), (0, 2)]]
-    (row,) = scan_graphs(graphs, 5).rows
+    (row,) = scan_graphs(rows(graphs), 5).rows
     assert (row.count, row.max_measure, row.argmax_graph) == (3, 0.0, "BG")
 
 
@@ -448,7 +462,7 @@ def test_gamma5_validation(capsys):
         ("--samples", "50"),
         ("--s-max", "nan"),
         ("--eps", "1e-16"),  # below the epsilon floor 2^-50
-        ("--eps", "1e-320"),  # the size threshold overflows a float
+        ("--eps", "1e-320"),  # far below the floor, where the threshold would overflow
     ):
         code, out, _ = run_cli(capsys, "gamma5", *argv)
         assert code == 2

@@ -12,7 +12,6 @@ import oddspectrum.gamma5prime as gamma5prime
 from oddspectrum import (
     InfeasibleError,
     Spectrum,
-    UnsupportedSizeError,
     check_relaxed_constraints,
     complete_bipartite,
     csikvari_bound,
@@ -296,7 +295,7 @@ def test_extremal_sequence_needs_enough_room():
     assert str(math.ceil(n_epsilon(0.01))) in str(exc_info.value)
     with pytest.raises(ValueError):
         extremal_sequence(1.5, 1000)
-    with pytest.raises(UnsupportedSizeError):  # the size threshold overflows
+    with pytest.raises(ValueError, match="2\\^-50"):  # the floor, before any overflow
         extremal_sequence(1e-320, 10)
 
 

@@ -22,6 +22,7 @@ from oddspectrum import (
     odd_girth,
     parse_graph6,
     petersen_graph,
+    read_graph6_lines,
 )
 from oddspectrum.graph_core import MAX_BFS_SOURCES, MAX_GRAPH6_VERTICES, decode_graph6
 from util import (
@@ -409,6 +410,18 @@ def test_parse_graph6_rejects_nonzero_padding():
     # K2 has one edge bit; the remaining five bits of the byte must be zero.
     with pytest.raises(Graph6ParseError):
         parse_graph6("A" + chr(63 + 0b100001))
+
+
+def test_read_graph6_lines_yields_rows_and_errors_in_place():
+    # Line numbers count the skipped header and blank line; each graph is
+    # decode_graph6's (n, bits) row, and a malformed line its error, in place.
+    got = list(read_graph6_lines([">>graph6<<", "", "Dhc", "Dhcc", "  A_  "]))
+    assert [lineno for lineno, _ in got] == [3, 4, 5]
+    assert got[0] == (3, decode_graph6("Dhc")) == (3, (5, bytes([1, 0, 1, 0, 0, 1, 1, 0, 0, 1])))
+    assert got[2] == (5, decode_graph6("  A_  ")) == (5, (2, b"\x01"))
+    error = got[1][1]
+    assert isinstance(error, Graph6ParseError)
+    assert error.offset == 3 and "trailing garbage" in str(error)
 
 
 @PROPERTY

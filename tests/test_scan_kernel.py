@@ -30,15 +30,20 @@ from oddspectrum import (
 )
 from oddspectrum.bounds import COMPARISON_RTOL, _bound_entry, count_violations
 from oddspectrum.cli import main, scan_graphs
-from oddspectrum.graph_core import decode_graph6
-from util import per_graph_scan, random_graph, trace_powers
+from util import per_graph_scan, random_graph, rows, trace_powers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @functools.cache
 def enumeration_oracle(n, k):
-    return per_graph_scan(LabeledGraphs(n), k)
+    return per_graph_scan(rows(LabeledGraphs(n)), k)
+
+
+def stack(graphs):
+    """The (B, n, n) stack of graphs on a common n: their one-graph stacks
+    laid end to end."""
+    return np.concatenate([scan_kernel.graph_adjacency(g) for g in graphs])
 
 
 def mixed_lines():
@@ -77,11 +82,11 @@ def test_enumeration_matches_per_graph_scan_at_k101(n):
 @pytest.mark.parametrize("k", [3, 5, 7])
 @pytest.mark.parametrize("n", range(1, 6))
 def test_enumeration_chunk_boundaries(monkeypatch, n, k, per_chunk):
-    # per_chunk graphs in each chunk, read as masks and as Graph objects.
+    # per_chunk graphs in each chunk, read as masks and as (n, bits) rows.
     monkeypatch.setattr(scan_kernel, "CHUNK_ENTRIES", per_chunk * n * n)
     assert scan_kernel.chunk_size(n) == per_chunk
     assert scan_graphs(LabeledGraphs(n), k) == enumeration_oracle(n, k)
-    assert scan_graphs(iter(LabeledGraphs(n)), k) == enumeration_oracle(n, k)
+    assert scan_graphs(iter(rows(LabeledGraphs(n))), k) == enumeration_oracle(n, k)
 
 
 @pytest.mark.parametrize("k", [5, 7, 101])
@@ -95,9 +100,9 @@ def test_mixed_graph6_matches_per_graph_scan(monkeypatch, k, chunk_entries):
     assert summary == per_graph_scan(mixed_items(), k)
     assert summary.malformed_lines == 4
     assert {row.n: row for row in summary.rows}[3].argmax_graph == "BG"
-    # The route cmd_scan takes: edge bits from decode_graph6, not Graphs.
-    bits = (item for _, item in read_graph6_lines(mixed_lines(), decode_graph6))
-    assert scan_graphs(bits, k) == summary
+    # The route cmd_scan takes: the reader's rows, one at a time.
+    stream = (item for _, item in read_graph6_lines(mixed_lines()))
+    assert scan_graphs(stream, k) == summary
 
 
 def test_file_chunks_fill_per_vertex_count(monkeypatch, tmp_path, capsys):
@@ -133,7 +138,7 @@ def test_library_graphs_past_graph6_sizes_match_per_graph_scan():
     # Graphs on more than 62 vertices go through the same edge bits.
     graphs = [cycle_graph(101), blow_up(cycle_graph(13), 5), cycle_graph(103), Graph(70)]
     for k in (5, 101):
-        assert scan_graphs(iter(graphs), k) == per_graph_scan(graphs, k)
+        assert scan_graphs(iter(rows(graphs)), k) == per_graph_scan(rows(graphs), k)
 
 
 def test_enumeration_masks_build_the_enumerated_graphs():
@@ -142,15 +147,12 @@ def test_enumeration_masks_build_the_enumerated_graphs():
     for n in range(6):
         graphs = LabeledGraphs(n)
         bits = np.arange(len(graphs))[:, None] >> np.arange(n * (n - 1) // 2) & 1
-        assert (
-            scan_kernel.bits_adjacency(n, bits.astype(np.uint8))
-            == scan_kernel.graph_adjacency(n, list(graphs))
-        ).all()
+        assert (scan_kernel.bits_adjacency(n, bits.astype(np.uint8)) == stack(graphs)).all()
 
 
 def test_measures_bit_identical_to_eigenvalues():
     graphs = list(LabeledGraphs(5))
-    measures = scan_kernel.measures(scan_kernel.graph_adjacency(5, graphs))
+    measures = scan_kernel.measures(stack(graphs))
     assert measures.tolist() == [eigenvalues(g).measure for g in graphs]
 
 
@@ -171,7 +173,7 @@ def test_lapack_failure_raises_convergence_error_and_exits_4(monkeypatch, capsys
     with pytest.raises(ConvergenceError, match="did not converge"):
         eigenvalues(cycle_graph(5))
     with pytest.raises(ConvergenceError, match="did not converge"):
-        scan_kernel.measures(scan_kernel.graph_adjacency(5, [cycle_graph(5)]))
+        scan_kernel.measures(scan_kernel.graph_adjacency(cycle_graph(5)))
     for argv in (["analyze", "Dhc", "--k", "5"], ["scan", "--enumerate", "5", "--k", "5"]):
         assert main(argv) == 4
         out, err = capsys.readouterr()
@@ -227,7 +229,7 @@ def graph_stacks(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(graph_stacks(), st.sampled_from([3, 5, 7, 9, 11]))
 def test_gate_agrees_with_odd_girth_and_traces(graphs, k):
-    gate = scan_kernel.odd_walk_free(scan_kernel.graph_adjacency(graphs[0].n, graphs), k)
+    gate = scan_kernel.odd_walk_free(stack(graphs), k)
     for g, passed in zip(graphs, gate.tolist()):
         assert passed == (odd_girth(g) >= k)
         assert passed == all(t == 0 for t in trace_powers(g, k - 2)[::2])

@@ -23,7 +23,7 @@ from oddspectrum import (
 from oddspectrum.cli import ScanRow, ScanSummary
 from oddspectrum.errors import require_odd_k
 from oddspectrum.gamma5prime import ConstraintCheck
-from oddspectrum.graph_core import GRAPH6_HEADER_PREFIX
+from oddspectrum.graph_core import GRAPH6_HEADER_PREFIX, edge_bits, graph_from_bits
 
 JACOBI_MAX_SWEEPS = 100
 
@@ -167,29 +167,35 @@ class _ReportFold:
         )
 
 
+def rows(graphs) -> list[tuple[int, bytes]]:
+    """The graphs as the (n, edge bits) rows that cli.scan_graphs reads."""
+    return [(g.n, edge_bits(g)) for g in graphs]
+
+
 def per_graph_scan(items, k: int) -> ScanSummary:
     """The scan as one certify() per graph, in input order: the oracle of the
-    batched kernel in cli.scan_graphs."""
+    batched kernel in cli.scan_graphs, over the same (n, bits) rows and parse
+    errors."""
     scanned = malformed = 0
-    rows: dict[int, _ReportFold] = {}
+    folds: dict[int, _ReportFold] = {}
     for item in items:
         if isinstance(item, Graph6ParseError):
             malformed += 1
             continue
         scanned += 1
         try:
-            report = certify(item, k)
+            report = certify(graph_from_bits(*item), k)
         except GirthViolationError:
             continue
-        rows.setdefault(report.n, _ReportFold()).add(report)
-    qualifying = sum(fold.count for fold in rows.values())
+        folds.setdefault(report.n, _ReportFold()).add(report)
+    qualifying = sum(fold.count for fold in folds.values())
     return ScanSummary(
-        rows=tuple(rows[n].row(n, k) for n in sorted(rows)),
+        rows=tuple(folds[n].row(n, k) for n in sorted(folds)),
         scanned=scanned,
         qualifying=qualifying,
         skipped_girth=scanned - qualifying,
         malformed_lines=malformed,
-        violations=sum(fold.violations for fold in rows.values()),
+        violations=sum(fold.violations for fold in folds.values()),
     )
 
 
