@@ -45,12 +45,7 @@ from .graph_core import (
     petersen_graph,
     read_graph6_lines,
 )
-from .odd_poly import (
-    FactoredOddPolynomial,
-    chebyshev_T,
-    chebyshev_T_recurrence,
-    high_lambda1_polynomial,
-)
+from .odd_poly import chebyshev_T, chebyshev_T_recurrence
 from .spectral import Spectrum, eigenvalues
 
 __version__ = "0.1.0"

@@ -15,14 +15,11 @@ from typing import Sequence
 
 from .errors import GirthViolationError, HypothesisError, require_odd_k
 from .graph_core import MAX_GRAPH6_VERTICES, Graph, encode_graph6, odd_girth
-from .odd_poly import chebyshev_T, high_lambda1_polynomial
+from .odd_poly import chebyshev_T
 from .spectral import Spectrum, eigenvalues
 
 # Relative slop for "measure <= bound" style comparisons.
 COMPARISON_RTOL = 1e-12
-
-# Relative tolerance for the certificate polynomial trace residual.
-TRACE_RESIDUAL_RTOL = 1e-6
 
 CSV_HEADER = (
     "graph",
@@ -263,37 +260,6 @@ def _broad_spectrum_chains(s: Spectrum, k: int, n: int) -> list[ChainCheck]:
     return chains
 
 
-def _certificate_trace_chain(s: Spectrum, k: int) -> ChainCheck:
-    """Residual of the certificate polynomial (see high_lambda1_polynomial)
-    summed over the spectrum; inapplicable where that function raises.
-
-    Evaluated on the spectrum normalized by lambda1, which divides the whole
-    identity by lambda1^(k-2) and keeps every term within floating range for
-    arbitrarily large k.
-    """
-    normalized = Spectrum(tuple(v / s.lambda1 for v in s.values))
-    try:
-        poly = high_lambda1_polynomial(normalized, k)
-    except HypothesisError:
-        return _inapplicable(
-            "sum of certificate polynomial over spectrum ~ 0 "
-            "(inapplicable: spectrum outside the certificate regime)",
-            relation="==",
-        )
-    terms = [poly.evaluate(v) for v in normalized.values]
-    residual = math.fsum(terms)
-    scale = sum(abs(t) for t in terms)
-    tol = TRACE_RESIDUAL_RTOL * max(1.0, scale)
-    return ChainCheck(
-        description="sum of certificate polynomial over spectrum ~ 0 "
-        "(normalized by lambda1^(k-2))",
-        left=residual,
-        relation="==",
-        right=0.0,
-        satisfied=abs(residual) <= tol,
-    )
-
-
 def certify(g: Graph, k: int) -> CertificateReport:
     """Verify every applicable bound and proof-chain inequality for one graph.
 
@@ -322,7 +288,6 @@ def certify(g: Graph, k: int) -> CertificateReport:
     bounds = [_bound_entry(name, value, measure) for name, value in constant_bounds(k)]
 
     case: int | None = None
-    chains: list[ChainCheck] = []
     if k >= 100:
         bounds.append(_bound_entry("trivial_lambda1", lam1 / n, measure))
         bounds.append(_bound_entry("main_bound", main_bound(k), measure))
@@ -337,17 +302,16 @@ def certify(g: Graph, k: int) -> CertificateReport:
         case = 1 if lam1 <= n / k**3 else (2 if lam1 <= 100.0 * math.log(k) / k * n else 3)
 
         if trivial:
-            chains.append(
+            chains = [
                 _inapplicable(
                     "proof-chain inequalities (inapplicable: edgeless graph, "
                     "measure is trivially lambda1/n)"
                 )
-            )
+            ]
         else:
-            chains.extend(_broad_spectrum_chains(s, k, n))
-            chains.append(_certificate_trace_chain(s, k))
+            chains = _broad_spectrum_chains(s, k, n)
     else:
-        chains.append(_odd_trace_chain(g, k))
+        chains = [_odd_trace_chain(g, k)]
 
     return CertificateReport(
         graph_id=graph_id,

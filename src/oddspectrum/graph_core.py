@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable, Iterator
 
 from .errors import Graph6ParseError, UnsupportedSizeError
@@ -27,23 +28,35 @@ GRAPH6_HEADER_PREFIX = ">>graph6<<"
 class Graph:
     """Simple undirected graph: a vertex count and a set of edges.
 
-    Edges are normalized to sorted (u, v) pairs with u < v; self-loops and
-    out-of-range endpoints are rejected. Duplicate edges collapse.
+    Edges are normalized to sorted (u, v) pairs of ints with u < v;
+    self-loops, out-of-range endpoints and a vertex count or endpoint that is
+    not an integer (1.0 included; operator.index decides) are rejected.
+    Duplicate edges collapse.
     """
 
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"vertex count must be an integer, got {n!r}") from None
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
+        index = operator.index
         normalized = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:  # plain ints skip the calls
+                try:
+                    u, v = index(u), index(v)
+                except TypeError:
+                    raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n = {n}")
             normalized.add((u, v) if u < v else (v, u))
-        self.n = int(n)
+        self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
 
     @classmethod

@@ -1,43 +1,9 @@
-"""Chebyshev polynomials of the first kind and the spectrum-dependent
-certificate polynomial used in the high-lambda1 regime.
-"""
+"""Chebyshev polynomials of the first kind, evaluated stably on the whole
+real line for the broad-spectrum proof chain."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .errors import HypothesisError, require_odd_k
-from .spectral import Spectrum
-
-
-@dataclass(frozen=True)
-class FactoredOddPolynomial:
-    """x^exponent * prod_r (x^2 - r^2)^2, kept in factored form.
-
-    evaluate(x) is the product at x, computed without ever expanding the
-    coefficients. exponent must be odd so the whole product is odd.
-    """
-
-    exponent: int
-    roots: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.exponent < 1 or self.exponent % 2 == 0:
-            raise ValueError(f"exponent must be odd and positive, got {self.exponent}")
-        object.__setattr__(self, "roots", tuple(float(r) for r in self.roots))
-
-    @property
-    def degree(self) -> int:
-        return self.exponent + 4 * len(self.roots)
-
-    def evaluate(self, x: float) -> float:
-        acc = float(x) ** self.exponent
-        y = x * x
-        for r in self.roots:
-            d = y - r * r
-            acc *= d * d
-        return acc
 
 
 def chebyshev_T_recurrence(j: int, x: float) -> float:
@@ -78,28 +44,3 @@ def chebyshev_T(j: int, x: float) -> float:
         value = chebyshev_T(j, -x)
         return -value if j % 2 else value
     return chebyshev_T_recurrence(j, x)
-
-
-def high_lambda1_polynomial(s: Spectrum, k: int) -> FactoredOddPolynomial:
-    """Certificate polynomial x^(k - 4d - 2) * prod (x^2 - lambda_i^2)^2 over the
-    d = d_minus eigenvalues <= -lambda1/2 (compared exactly, no tolerance).
-
-    The result is odd of degree k - 2 and vanishes at +-lambda_i for each
-    used eigenvalue. It is kept in factored form for every k: expanded
-    coefficients blow up and cancel catastrophically as k grows.
-    Raises HypothesisError when k - 4*d_minus - 2 < 1, which happens exactly
-    when the spectrum is outside the large-lambda1 regime.
-    """
-    require_odd_k(k, 3)
-    if s.lambda1 <= 0:
-        raise ValueError("certificate polynomial needs a positive largest eigenvalue")
-    mu = s.lambda1 / 2.0
-    d_minus = sum(1 for v in s.values if v <= -mu)
-    exponent = k - 4 * d_minus - 2
-    if exponent < 1:
-        raise HypothesisError(
-            f"certificate exponent k - 4*d_minus - 2 = {exponent} < 1 "
-            f"(d_minus = {d_minus}); spectrum outside the certificate regime"
-        )
-    roots = tuple(abs(v) for v in s.values[s.n - d_minus :])
-    return FactoredOddPolynomial(exponent=exponent, roots=roots)

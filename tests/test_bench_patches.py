@@ -12,6 +12,8 @@ STALE = {
     ("oddspectrum.bounds", "trace_powers"),
     ("oddspectrum.bounds", "threshold_partition"),
     ("oddspectrum.cli", "build_scan_summary"),
+    ("oddspectrum.bounds", "high_lambda1_polynomial"),
+    ("oddspectrum.odd_poly:FactoredOddPolynomial", "evaluate"),
 }
 
 

@@ -108,6 +108,15 @@ def test_cycle_bound_below_main_bound():
         assert cycle_lower_bound(k) <= main_bound(max(k, 101))
 
 
+# The whole proof chain of a graph with edges at k = 101. Odd polynomials of
+# degree <= k - 2 trace to exactly 0 once certify has checked the odd girth,
+# so no float re-check of that identity is listed.
+BROAD_SPECTRUM_CHAINS_K101 = [
+    "lambda1^2 * T_97(lambda1/|lambda_n|) <= n*lambda1",
+    "r - 1 < (4/k^2) log^2(2n/lambda1)",
+]
+
+
 def test_certify_c101():
     report = certify(cycle_graph(101), 101)
     assert report.passed
@@ -117,13 +126,8 @@ def test_certify_c101():
     names = [b.name for b in report.bounds]
     assert "main_bound" in names and "broad_spectrum" in names
     assert "high_lambda1" not in names  # lambda1 = 2 < 16n/k = 16
-    applicable = [c for c in report.chain_checks if c.satisfied is not None]
-    assert all(c.satisfied for c in applicable)
-    # Certificate polynomial regime needs large lambda1; C_101 is outside it.
-    assert any(
-        c.satisfied is None and "certificate" in c.description
-        for c in report.chain_checks
-    )
+    assert [c.description for c in report.chain_checks] == BROAD_SPECTRUM_CHAINS_K101
+    assert all(c.satisfied for c in report.chain_checks)
 
 
 def test_certify_bipartite_at_high_k():
@@ -131,8 +135,7 @@ def test_certify_bipartite_at_high_k():
     assert report.passed
     assert abs(report.measure) < 1e-9
     assert report.case == 2
-    cert = [c for c in report.chain_checks if "certificate" in c.description][0]
-    assert cert.satisfied is True
+    assert [c.description for c in report.chain_checks] == BROAD_SPECTRUM_CHAINS_K101
 
 
 def test_certify_case_three():
@@ -155,6 +158,10 @@ def test_certify_girth_violation():
     assert exc_info.value.odd_girth == 3
     with pytest.raises(GirthViolationError):
         certify(blow_up(cycle_graph(3), 2), 5)
+    # At k >= 100 the exact girth gate is all that stands for Tr(A^j) = 0.
+    with pytest.raises(GirthViolationError) as exc_info:
+        certify(cycle_graph(99), 101)
+    assert exc_info.value.odd_girth == 99
 
 
 def test_certify_trivial_edgeless():

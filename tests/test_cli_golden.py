@@ -9,6 +9,11 @@ and the threshold partition were deleted, and gamma5_two_small_eps.out from
 f819b4c, before the extremal sequence was built from one float per distinct
 value; each of those changes had to keep the bytes too. They were taken on
 x86-64 Linux with Python 3.11.7, numpy 2.4.6 and its bundled OpenBLAS 0.3.31.
+When the float re-check of the certificate polynomial's trace was deleted
+(after 0a3b493), analyze_file_k101_text.out lost its two "chain sum of
+certificate polynomial" lines and analyze_bipartite_k101_json.out the third
+chain_checks entry. Both were cut by hand, not regenerated; every other byte
+is as captured.
 If a numpy or BLAS change moves the last digits, regenerate them from that
 parent commit, never from the change under test: copy this file and the .g6
 inputs under tests/golden/ into a checkout of the parent and run
@@ -47,8 +52,9 @@ COMMANDS = {
     "bounds_json": ["bounds", "--k-min", "3", "--k-max", "301", "--format", "json"],
     "analyze_c5_text": ["analyze", "Dhc", "--k", "5"],
     "analyze_petersen_json": ["analyze", "IheA@GUAo", "--k", "5", "--format", "json"],
-    # Random bipartite graph on 12 vertices; the JSON carries the certificate
-    # polynomial residual (~1e-30) with full repr precision.
+    # Random bipartite graph on 12 vertices; the JSON carries the two
+    # broad-spectrum chain values, r - 1 ~ -6.7e-16 among them, with full repr
+    # precision.
     "analyze_bipartite_k101_json": ["analyze", "K??FSxg|AWY_", "--k", "101", "--format", "json"],
     "analyze_mixed_k5_csv": ["analyze", MIXED, "--k", "5", "--format", "csv"],
     "analyze_file_k101_text": ["analyze", ANALYZE_K101, "--k", "101"],

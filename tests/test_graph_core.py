@@ -80,6 +80,24 @@ def test_graph_normalizes_and_validates():
         Graph(-1)
 
 
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (3, [(0, 1.0)]),
+        (3, [(0, 1.5)]),
+        (3, [("0", 1)]),
+        (3.0, [(0, 1)]),
+        (3.5, [(0, 1)]),
+        ("3", [(0, 1)]),
+    ],
+)
+def test_graph_rejects_non_integer_indices(n, edges):
+    # Indices must be ints: certify, encode_graph6 and odd_girth index lists
+    # with the endpoints, and n is both checked against and stored.
+    with pytest.raises(ValueError, match="integer"):
+        Graph(n, edges)
+
+
 def test_cycle_graph_shapes():
     g = cycle_graph(3)
     assert g.m == 3
