@@ -16,7 +16,7 @@ from typing import Sequence
 from .errors import GirthViolationError, HypothesisError, require_odd_k
 from .graph_core import MAX_GRAPH6_VERTICES, Graph, encode_graph6, odd_girth
 from .odd_poly import chebyshev_T
-from .spectral import Spectrum, eigenvalues
+from .spectral import eigenvalues
 
 # Relative slop for "measure <= bound" style comparisons.
 COMPARISON_RTOL = 1e-12
@@ -41,9 +41,10 @@ def girth_field(girth: float) -> str | int:
 
 def cycle_lower_bound(k: int) -> float:
     """(2/k)(1 - cos(pi/k)): the measure of the k-cycle, hence a lower bound
-    on the supremum at odd girth k. Grows like pi^2 / k^3."""
+    on the supremum at odd girth k. Grows like pi^2 / k^3. Evaluated as
+    (4/k) sin^2(pi/(2k)), free of 1 - cos's cancellation, to keep its digits."""
     require_odd_k(k, 3)
-    return (2.0 / k) * (1.0 - math.cos(math.pi / k))
+    return (4.0 / k) * math.sin(math.pi / (2 * k)) ** 2
 
 
 def broad_spectrum_bound(k: int, lambda1: float, n: int) -> float:
@@ -134,15 +135,10 @@ class CertificateReport:
 
     @property
     def passed(self) -> bool:
-        """False as soon as any bound or applicable chain check fails."""
-        if any(not b.satisfied for b in self.bounds):
-            return False
-        return all(c.satisfied is not False for c in self.chain_checks)
+        return passes(self.bounds, self.chain_checks)
 
     def tightest_bound(self) -> BoundEntry | None:
-        if not self.bounds:
-            return None
-        return min(self.bounds, key=lambda b: b.value)
+        return tightest(self.bounds)
 
     def to_json(self) -> str:
         """The fields in declaration order, graph_id as "graph", plus passed."""
@@ -163,6 +159,16 @@ class CertificateReport:
             repr(tight.value) if tight else "",
             repr(tight.slack) if tight else "",
         )
+
+
+def passes(bounds: Sequence[BoundEntry], chains: Sequence[ChainCheck]) -> bool:
+    """False as soon as any bound or applicable chain check fails."""
+    return all(b.satisfied for b in bounds) and all(c.satisfied is not False for c in chains)
+
+
+def tightest(bounds: Sequence[BoundEntry]) -> BoundEntry | None:
+    """The bound of least value (the first of equal ones), None if none applies."""
+    return min(bounds, key=lambda b: b.value, default=None)
 
 
 def within_bound(measure, value: float):
@@ -222,9 +228,8 @@ def _odd_trace_chain(g: Graph, k: int) -> ChainCheck:
     )
 
 
-def _broad_spectrum_chains(s: Spectrum, k: int, n: int) -> list[ChainCheck]:
-    lam1 = s.lambda1
-    r = lam1 / abs(s.lambda_n)
+def _broad_spectrum_chains(lam1: float, lamn: float, k: int, n: int) -> list[ChainCheck]:
+    r = lam1 / abs(lamn)
     chains = []
 
     lhs = lam1 * lam1 * chebyshev_T(k - 4, r)
@@ -260,15 +265,38 @@ def _broad_spectrum_chains(s: Spectrum, k: int, n: int) -> list[ChainCheck]:
     return chains
 
 
+def assess(
+    k: int, n: int, m: int, lam1: float, lamn: float
+) -> tuple[list[BoundEntry], int | None, list[ChainCheck]]:
+    """The bounds, the case and the proof chains at odd girth k of a graph on
+    n >= 1 vertices and m edges, from its spectrum's two ends alone; the girth
+    is taken as checked. Below k = 100 the regime formulas do not apply: the
+    bounds are the k = 5 comparison constants, with no case and no chain.
+    From k = 100 inapplicable entries are marked rather than extrapolated."""
+    measure = (lam1 + lamn) / n
+    bounds = [_bound_entry(name, value, measure) for name, value in constant_bounds(k)]
+    if k < 100:
+        return bounds, None, []
+    bounds.append(_bound_entry("trivial_lambda1", lam1 / n, measure))
+    bounds.append(_bound_entry("main_bound", main_bound(k), measure))
+    if lam1 >= n / k**3:
+        bounds.append(_bound_entry("broad_spectrum", broad_spectrum_bound(k, lam1, n), measure))
+    if lam1 >= 16.0 * n / k:
+        bounds.append(_bound_entry("high_lambda1", high_lambda1_bound(k, lam1, n), measure))
+    case = 1 if lam1 <= n / k**3 else (2 if lam1 <= 100.0 * math.log(k) / k * n else 3)
+    if m == 0:
+        edgeless = "edgeless graph, measure is trivially lambda1/n"
+        return bounds, case, [_inapplicable(f"proof-chain inequalities (inapplicable: {edgeless})")]
+    return bounds, case, _broad_spectrum_chains(lam1, lamn, k, n)
+
+
 def certify(g: Graph, k: int) -> CertificateReport:
     """Verify every applicable bound and proof-chain inequality for one graph.
 
     Requires odd_girth(g) >= k; raises GirthViolationError (carrying the
-    actual shortest odd cycle length) otherwise. For k < 100 the regime
-    formulas do not apply, so the report carries the measure, the k = 5
-    comparison constants, and the exact odd-trace identities. For k >= 100
-    the three-case classification and the proof-chain inequalities are
-    evaluated, with inapplicable entries marked rather than extrapolated.
+    actual shortest odd cycle length) otherwise. The report carries the
+    measure and what assess finds from the spectrum's two ends; below
+    k = 100 it adds the exact odd-trace identities.
     """
     require_odd_k(k, 3)
     if g.n < 1:
@@ -278,51 +306,20 @@ def certify(g: Graph, k: int) -> CertificateReport:
         raise GirthViolationError(girth, k)
 
     graph_id = encode_graph6(g) if g.n <= MAX_GRAPH6_VERTICES else f"<n={g.n},m={g.m}>"
-
     s = eigenvalues(g)
-    n = g.n
-    lam1, lamn = s.lambda1, s.lambda_n
-    measure = s.measure
-    trivial = g.m == 0
-
-    bounds = [_bound_entry(name, value, measure) for name, value in constant_bounds(k)]
-
-    case: int | None = None
-    if k >= 100:
-        bounds.append(_bound_entry("trivial_lambda1", lam1 / n, measure))
-        bounds.append(_bound_entry("main_bound", main_bound(k), measure))
-        if lam1 >= n / k**3:
-            bounds.append(
-                _bound_entry("broad_spectrum", broad_spectrum_bound(k, lam1, n), measure)
-            )
-        if lam1 >= 16.0 * n / k:
-            bounds.append(
-                _bound_entry("high_lambda1", high_lambda1_bound(k, lam1, n), measure)
-            )
-        case = 1 if lam1 <= n / k**3 else (2 if lam1 <= 100.0 * math.log(k) / k * n else 3)
-
-        if trivial:
-            chains = [
-                _inapplicable(
-                    "proof-chain inequalities (inapplicable: edgeless graph, "
-                    "measure is trivially lambda1/n)"
-                )
-            ]
-        else:
-            chains = _broad_spectrum_chains(s, k, n)
-    else:
-        chains = [_odd_trace_chain(g, k)]
-
+    bounds, case, chains = assess(k, g.n, g.m, s.lambda1, s.lambda_n)
+    if k < 100:
+        chains.append(_odd_trace_chain(g, k))
     return CertificateReport(
         graph_id=graph_id,
-        n=n,
+        n=g.n,
         odd_girth=girth,
         k=k,
-        lambda1=lam1,
-        lambda_n=lamn,
-        measure=measure,
+        lambda1=s.lambda1,
+        lambda_n=s.lambda_n,
+        measure=s.measure,
         case=case,
-        trivial=trivial,
+        trivial=g.m == 0,
         bounds=tuple(bounds),
         chain_checks=tuple(chains),
     )

@@ -1,5 +1,6 @@
-"""Command-line interface: per-graph certificates, corpus scans, bound tables,
-and the k = 5 relaxation experiment.
+"""Command-line interface: argparse and rendering for per-graph certificates,
+corpus scans (run by scan.scan_graphs), bound tables, and the k = 5
+relaxation experiment.
 
 Exit codes: 0 success, 1 a verified check failed (or stdout was closed
 early), 2 input error, 3 precondition or girth violation, 4 internal
@@ -15,16 +16,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
-from typing import Iterable
 
 from .bounds import (
     CSV_HEADER,
     CertificateReport,
     certify,
-    constant_bounds,
-    count_violations,
     csikvari_bound,
     cycle_lower_bound,
     gamma5_prime_value,
@@ -46,6 +44,7 @@ from .gamma5prime import (
     n_epsilon,
 )
 from .graph_core import LabeledGraphs, graph_from_bits, parse_graph6, read_graph6_lines
+from .scan import ScanRow, ScanSummary, scan_graphs
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -146,163 +145,6 @@ def cmd_analyze(args) -> int:
 
 
 # ------------------------------- scan --------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """Aggregate over all scanned graphs with a common vertex count."""
-
-    n: int
-    k: int
-    count: int
-    max_measure: float
-    argmax_graph: str
-    tightest_bound: str | None
-    tightest_bound_value: float | None
-    min_slack: float | None
-
-
-@dataclass(frozen=True)
-class ScanSummary:
-    rows: tuple[ScanRow, ...]
-    scanned: int
-    qualifying: int
-    skipped_girth: int
-    malformed_lines: int
-    violations: int
-
-
-@dataclass
-class _RowFold:
-    """A ScanRow under construction: chunks of measures are folded in as they
-    arrive, and of the graphs only the first of largest measure is kept, as
-    its edge bits."""
-
-    count: int = 0
-    violations: int = 0
-    max_measure: float = -math.inf
-    winner: bytes = b""
-    min_slack: float | None = None
-
-    def add(self, measures, slacks, violations: int, bits) -> None:
-        """measures, slacks and bits (edge bit rows): numpy arrays over a
-        chunk's qualifying graphs; slacks None when no bound applies."""
-        self.count += len(measures)
-        self.violations += violations
-        i = int(measures.argmax())  # the first of equal maxima in the chunk
-        if measures[i] > self.max_measure:  # strict: an earlier chunk's stays
-            self.max_measure = float(measures[i])
-            self.winner = bits[i].tobytes()
-        if slacks is not None:
-            slack = float(slacks.min())
-            if self.min_slack is None or slack < self.min_slack:
-                self.min_slack = slack
-
-    def row(self, n: int, k: int) -> ScanRow:
-        """Certify the winner for its graph6 id and tightest bound. A report
-        whose measure is not the kernel's, bit for bit, counts as a violation."""
-        report = certify(graph_from_bits(n, self.winner), k)
-        self.violations += report.measure != self.max_measure
-        tight = report.tightest_bound()
-        return ScanRow(
-            n=n,
-            k=k,
-            count=self.count,
-            max_measure=self.max_measure,
-            argmax_graph=report.graph_id,
-            tightest_bound=tight.name if tight else None,
-            tightest_bound_value=tight.value if tight else None,
-            min_slack=self.min_slack,
-        )
-
-
-def scan_graphs(
-    items: LabeledGraphs | Iterable[tuple[int, bytes] | Graph6ParseError], k: int
-) -> ScanSummary:
-    """One pass over the input in chunks of graphs with a common n: gate each
-    chunk on odd girth >= k, measure the graphs that pass with one stacked
-    eigensolver call, and fold the measures into the row for their n; count
-    parse errors as malformed. No report is kept, and no graph beyond one
-    chunk's worth per n. A graph without vertices raises ValueError.
-
-    Every chunk is a uint8 array of edge bit rows. LabeledGraphs gives them
-    as ranges of masks, a mask's bits being its row. Other input is (n, bits)
-    rows, as decode_graph6 gives them, buffered per n; n's buffer is flushed
-    as one chunk once it holds chunk_size(n) graphs, so each row sees its
-    graphs in input order and in full chunks. What stays buffered is at most
-    one partial chunk per n, each about CHUNK_ENTRIES/2 bytes of bits: about
-    0.5 MB over every n <= 62, however long the input. A Graph is built only
-    for a row's winner. Below k = 100 every bound is a constant and the fold
-    needs only the measures; from k = 100 the bounds and proof chains need
-    the whole spectrum, so each qualifying graph is certified. Either way
-    each row's winner is certified once more.
-    """
-    import numpy as np
-
-    from . import scan_kernel as kernel
-
-    require_odd_k(k, 3)
-    consts = [value for _, value in constant_bounds(k)]
-    tightest = min(consts, default=None)
-    rows: dict[int, _RowFold] = {}
-
-    def fold_chunk(n: int, bits) -> None:
-        if n == 0:
-            raise ValueError("certification needs at least one vertex")
-        adj = kernel.bits_adjacency(n, bits)
-        keep = np.flatnonzero(kernel.odd_walk_free(adj, k))
-        if not len(keep):
-            return
-        if k < 100:
-            measures = kernel.measures(adj[keep])
-            slacks = None if tightest is None else tightest - measures
-            violations = count_violations(measures, consts)
-        else:
-            reports = [certify(graph_from_bits(n, bits[i].tobytes()), k) for i in keep]
-            measures = np.array([r.measure for r in reports])
-            slacks = np.array([r.tightest_bound().slack for r in reports])
-            violations = sum(not r.passed for r in reports)
-        rows.setdefault(n, _RowFold()).add(measures, slacks, violations, bits[keep])
-
-    scanned = malformed = 0
-    if isinstance(items, LabeledGraphs):
-        n, size = items.n, kernel.chunk_size(items.n)
-        shifts = np.arange(n * (n - 1) // 2)
-        for start in range(0, len(items), size):
-            masks = np.arange(start, min(start + size, len(items)))
-            fold_chunk(n, (masks[:, None] >> shifts & 1).astype(np.uint8))
-        scanned = len(items)
-    else:
-        buffers: dict[int, list[bytes]] = {}
-
-        def flush(n: int) -> None:
-            chunk = buffers.pop(n)
-            bits = np.frombuffer(b"".join(chunk), np.uint8).reshape(len(chunk), n * (n - 1) // 2)
-            fold_chunk(n, bits)
-
-        for item in items:
-            if isinstance(item, Graph6ParseError):
-                malformed += 1
-                continue
-            scanned += 1
-            n, bits = item
-            buffer = buffers.setdefault(n, [])
-            buffer.append(bits)
-            if len(buffer) == kernel.chunk_size(n):
-                flush(n)
-        for n in list(buffers):
-            flush(n)
-
-    summary_rows = tuple(rows[n].row(n, k) for n in sorted(rows))  # may add violations
-    qualifying = sum(fold.count for fold in rows.values())
-    return ScanSummary(
-        rows=summary_rows,
-        scanned=scanned,
-        qualifying=qualifying,
-        skipped_girth=scanned - qualifying,
-        malformed_lines=malformed,
-        violations=sum(fold.violations for fold in rows.values()),
-    )
 
 
 def _render_scan_text(summary: ScanSummary) -> str:

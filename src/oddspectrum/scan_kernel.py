@@ -1,7 +1,8 @@
 """The numpy kernel: graphs with a common vertex count as (B, n, n) adjacency
 stacks, an odd-girth gate by boolean matrix powers, and the package's one
 eigensolver call, which the scan runs on chunks and spectral.eigenvalues on
-a stack of one, so the scan's measures equal certify's bit for bit.
+a stack of one, so the two extreme eigenvalues the scan reads, and the
+measures and bounds it takes from them, equal certify's bit for bit.
 
 Nothing imports this module at load, so numpy is loaded by the commands
 that run LAPACK and by no other.
@@ -78,10 +79,3 @@ def eigvalsh(adj: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(adj.astype(np.float64, copy=False))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed on {len(adj)} graphs: {exc}") from exc
-
-
-def measures(adj: np.ndarray) -> np.ndarray:
-    """(lambda1 + lambda_n) / n for each matrix of a non-empty (B, n, n)
-    stack: from eigvalsh, as Spectrum.measure is, so bit-identical to it."""
-    vals = eigvalsh(adj)
-    return (vals[:, -1] + vals[:, 0]) / adj.shape[-1]

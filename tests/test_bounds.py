@@ -40,6 +40,13 @@ def test_cycle_lower_bound_values():
         cycle_lower_bound(1)
 
 
+@pytest.mark.parametrize("k", [10**6 + 1, 10**9 + 1])
+def test_cycle_lower_bound_keeps_its_digits_at_large_k(k):
+    # k^3 C_k / pi^2 = (sin x / x)^2 with x = pi/(2k), which is 1 - x^2/3 + ...
+    # 1 - cos(pi/k) lost 7.7e-6 of it to cancellation at k = 10^6 + 1.
+    assert abs(k**3 * cycle_lower_bound(k) / math.pi**2 - 1) < 1e-11
+
+
 def test_cycle_lower_bound_matches_eigensolver():
     for k in (5, 21, 101):
         measure = eigenvalues(cycle_graph(k)).measure

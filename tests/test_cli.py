@@ -16,7 +16,8 @@ from oddspectrum import (
     cycle_graph,
     encode_graph6,
 )
-from oddspectrum.cli import main, scan_graphs
+from oddspectrum.cli import main
+from oddspectrum.scan import scan_graphs
 from util import rows
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -340,6 +341,13 @@ def test_bounds_includes_ratio_at_101(capsys):
     assert code == 0
     row = json.loads(out)[0]
     assert row["ratio"] > 1.0
+
+
+def test_bounds_past_a_billion(capsys):
+    # 1 - cos(pi/k) rounded to 0 from k of about 10^9, and the ratio divided by it.
+    code, out, _ = run_cli(capsys, "bounds", "--k-min", "1000000001", "--k-max", "1000000001")
+    assert code == 0
+    assert "lower=9.869604371e-27" in out  # mpmath: 9.8696043715e-27
 
 
 def test_bounds_validation(capsys):

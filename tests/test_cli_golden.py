@@ -13,7 +13,12 @@ When the float re-check of the certificate polynomial's trace was deleted
 (after 0a3b493), analyze_file_k101_text.out lost its two "chain sum of
 certificate polynomial" lines and analyze_bipartite_k101_json.out the third
 chain_checks entry. Both were cut by hand, not regenerated; every other byte
-is as captured.
+is as captured. scan_enum5_k101_{text,csv,json}.out were captured at 40cf85e,
+before the k >= 100 scan stopped certifying every qualifying graph, which had
+to keep their bytes. bounds_csv.out and bounds_json.out were regenerated when
+cycle_lower_bound moved to (4/k) sin^2(pi/(2k)): 148 of their 150 rows
+changed in the last digits of cycle_lower_bound and ratio only, while
+bounds_text.out, which prints 10 digits, kept its bytes.
 If a numpy or BLAS change moves the last digits, regenerate them from that
 parent commit, never from the change under test: copy this file and the .g6
 inputs under tests/golden/ into a checkout of the parent and run
@@ -61,7 +66,7 @@ COMMANDS = {
     "analyze_file_k101_csv": ["analyze", ANALYZE_K101, "--k", "101", "--format", "csv"],
     **{
         f"scan_enum5_k{k}_{fmt}": ["scan", "--enumerate", "5", "--k", str(k), "--format", fmt]
-        for k in (3, 5)
+        for k in (3, 5, 101)
         for fmt in ("text", "csv", "json")
     },
     "scan_mixed_jobs4_csv": ["scan", MIXED, "--k", "5", "--jobs", "4", "--format", "csv"],

@@ -18,7 +18,9 @@ from oddspectrum import (
     ConvergenceError,
     Graph,
     LabeledGraphs,
+    Spectrum,
     blow_up,
+    bounds,
     complete_bipartite,
     cycle_graph,
     eigenvalues,
@@ -29,7 +31,8 @@ from oddspectrum import (
     scan_kernel,
 )
 from oddspectrum.bounds import COMPARISON_RTOL, _bound_entry, count_violations
-from oddspectrum.cli import main, scan_graphs
+from oddspectrum.cli import main
+from oddspectrum.scan import scan_graphs
 from util import per_graph_scan, random_graph, rows, trace_powers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -74,7 +77,8 @@ def test_enumeration_matches_per_graph_scan(n, k):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_enumeration_matches_per_graph_scan_at_k101(n):
-    # Every qualifying graph goes through certify() at k >= 100.
+    # The fold's bounds and chains from each graph's two extreme eigenvalues
+    # against one certify() per graph.
     assert scan_graphs(LabeledGraphs(n), 101) == enumeration_oracle(n, 101)
 
 
@@ -141,6 +145,42 @@ def test_library_graphs_past_graph6_sizes_match_per_graph_scan():
         assert scan_graphs(iter(rows(graphs)), k) == per_graph_scan(rows(graphs), k)
 
 
+def test_known_graph_fails_its_chain_at_k40000001():
+    # The float r = lambda1/|lambda_n| of this bipartite graph is 1 + 1.6e-15,
+    # and T_39999997 amplifies that past n * lambda1. No other k >= 100 scan in
+    # the suite counts a violation.
+    items = [item for _, item in read_graph6_lines(["O????AXyCUGouor?EGAq?", "Dhc"])]
+    summary = scan_graphs(iter(items), 40000001)
+    assert summary.violations == 1
+    assert summary == per_graph_scan(items, 40000001)
+
+
+def test_scan_at_k101_certifies_only_row_winners(monkeypatch, capsys):
+    # One row, so one Graph, one odd_girth, one graph6 id and one stack of one
+    # for its winner; the other 375 qualifying graphs are judged by assess.
+    calls = {"certify": 0, "odd_girth": 0, "encode_graph6": 0}
+    for name in calls:
+        real = getattr(bounds, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bounds, name, spy)
+    stacks = []
+    eigvalsh = scan_kernel.eigvalsh
+
+    def stacked(adj):
+        stacks.append(len(adj))
+        return eigvalsh(adj)
+
+    monkeypatch.setattr(scan_kernel, "eigvalsh", stacked)
+    assert main(["scan", "--enumerate", "5", "--k", "101"]) == 0
+    assert "count=376 " in capsys.readouterr().out
+    assert calls == {"certify": 1, "odd_girth": 1, "encode_graph6": 1}
+    assert stacks.count(1) == 1 and sum(stacks) == 376 + 1
+
+
 def test_enumeration_masks_build_the_enumerated_graphs():
     # Bit j of a mask is edge bit j: the pair order of bits_adjacency is the
     # one LabeledGraphs builds its graphs in.
@@ -152,15 +192,20 @@ def test_enumeration_masks_build_the_enumerated_graphs():
 
 def test_measures_bit_identical_to_eigenvalues():
     graphs = list(LabeledGraphs(5))
-    measures = scan_kernel.measures(stack(graphs))
-    assert measures.tolist() == [eigenvalues(g).measure for g in graphs]
+    vals = scan_kernel.eigvalsh(stack(graphs))
+    spectra = [eigenvalues(g) for g in graphs]
+    assert vals[:, -1].tolist() == [s.lambda1 for s in spectra]
+    assert vals[:, 0].tolist() == [s.lambda_n for s in spectra]
+    assert ((vals[:, -1] + vals[:, 0]) / 5).tolist() == [s.measure for s in spectra]
 
 
 def test_measure_mismatch_counts_as_violation(monkeypatch, capsys):
     # The winner's certificate must reproduce the kernel's measure bit for bit.
-    measures = scan_kernel.measures
-    monkeypatch.setattr(scan_kernel, "measures", lambda adj: measures(adj) + 2.0**-40)
+    monkeypatch.setattr(
+        bounds, "eigenvalues", lambda g: Spectrum([v + 2.0**-40 for v in eigenvalues(g).values])
+    )
     assert scan_graphs(LabeledGraphs(5), 5).violations == 1
+    assert scan_graphs(LabeledGraphs(5), 101).violations == 1
     assert main(["scan", "--enumerate", "5", "--k", "5"]) == 1
     assert "violations=1" in capsys.readouterr().out
 
@@ -173,7 +218,7 @@ def test_lapack_failure_raises_convergence_error_and_exits_4(monkeypatch, capsys
     with pytest.raises(ConvergenceError, match="did not converge"):
         eigenvalues(cycle_graph(5))
     with pytest.raises(ConvergenceError, match="did not converge"):
-        scan_kernel.measures(scan_kernel.graph_adjacency(cycle_graph(5)))
+        scan_kernel.eigvalsh(scan_kernel.graph_adjacency(cycle_graph(5)))
     for argv in (["analyze", "Dhc", "--k", "5"], ["scan", "--enumerate", "5", "--k", "5"]):
         assert main(argv) == 4
         out, err = capsys.readouterr()

@@ -20,7 +20,7 @@ from oddspectrum import (
     certify,
     objective_g,
 )
-from oddspectrum.cli import ScanRow, ScanSummary
+from oddspectrum.scan import ScanRow, ScanSummary
 from oddspectrum.errors import require_odd_k
 from oddspectrum.gamma5prime import ConstraintCheck
 from oddspectrum.graph_core import GRAPH6_HEADER_PREFIX, edge_bits, graph_from_bits
@@ -168,13 +168,13 @@ class _ReportFold:
 
 
 def rows(graphs) -> list[tuple[int, bytes]]:
-    """The graphs as the (n, edge bits) rows that cli.scan_graphs reads."""
+    """The graphs as the (n, edge bits) rows that scan.scan_graphs reads."""
     return [(g.n, edge_bits(g)) for g in graphs]
 
 
 def per_graph_scan(items, k: int) -> ScanSummary:
     """The scan as one certify() per graph, in input order: the oracle of the
-    batched kernel in cli.scan_graphs, over the same (n, bits) rows and parse
+    batched kernel in scan.scan_graphs, over the same (n, bits) rows and parse
     errors."""
     scanned = malformed = 0
     folds: dict[int, _ReportFold] = {}
