@@ -3,7 +3,9 @@
 Every inequality evaluated here is a theorem for graphs satisfying the
 stated hypotheses, so a certificate reporting a violated bound indicates a
 bug, not an interesting graph. Comparisons use a relative 1e-12 slop to
-absorb floating rounding.
+absorb floating rounding. A bipartite graph's spectrum is symmetric, so its
+two ends are taken as exactly opposite (spectrum_ends) and its measure is
+exactly 0.0, in certify and in the scan alike.
 """
 
 from __future__ import annotations
@@ -200,6 +202,17 @@ def count_violations(measures, values: Sequence[float]) -> int:
     return int(bad.sum())
 
 
+def spectrum_ends(bipartite: bool, top: float, bottom: float) -> tuple[float, float]:
+    """lambda1 and lambda_n from the eigensolver's largest and smallest
+    eigenvalue. A bipartite graph's spectrum is symmetric, so there they are
+    (top - bottom)/2 and its negative, and the measure is exactly 0.0; the
+    negative is 0.0 - lambda1, so an edgeless graph's lambda_n is 0.0, not -0.0."""
+    if not bipartite:
+        return top, bottom
+    lam1 = (top - bottom) / 2
+    return lam1, 0.0 - lam1
+
+
 def _inapplicable(description: str, relation: str = "<=") -> ChainCheck:
     return ChainCheck(
         description=description, left=None, relation=relation, right=None, satisfied=None
@@ -295,8 +308,9 @@ def certify(g: Graph, k: int) -> CertificateReport:
 
     Requires odd_girth(g) >= k; raises GirthViolationError (carrying the
     actual shortest odd cycle length) otherwise. The report carries the
-    measure and what assess finds from the spectrum's two ends; below
-    k = 100 it adds the exact odd-trace identities.
+    measure and what assess finds from the spectrum's two ends, made exactly
+    opposite by spectrum_ends when the odd girth is infinite; below k = 100
+    it adds the exact odd-trace identities.
     """
     require_odd_k(k, 3)
     if g.n < 1:
@@ -307,7 +321,8 @@ def certify(g: Graph, k: int) -> CertificateReport:
 
     graph_id = encode_graph6(g) if g.n <= MAX_GRAPH6_VERTICES else f"<n={g.n},m={g.m}>"
     s = eigenvalues(g)
-    bounds, case, chains = assess(k, g.n, g.m, s.lambda1, s.lambda_n)
+    lam1, lamn = spectrum_ends(math.isinf(girth), s.lambda1, s.lambda_n)
+    bounds, case, chains = assess(k, g.n, g.m, lam1, lamn)
     if k < 100:
         chains.append(_odd_trace_chain(g, k))
     return CertificateReport(
@@ -315,9 +330,9 @@ def certify(g: Graph, k: int) -> CertificateReport:
         n=g.n,
         odd_girth=girth,
         k=k,
-        lambda1=s.lambda1,
-        lambda_n=s.lambda_n,
-        measure=s.measure,
+        lambda1=lam1,
+        lambda_n=lamn,
+        measure=(lam1 + lamn) / g.n,
         case=case,
         trivial=g.m == 0,
         bounds=tuple(bounds),

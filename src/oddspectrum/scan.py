@@ -1,7 +1,9 @@
 """The scan engine: a corpus of (n, edge bits) rows, or an enumeration, folded
 per vertex count into the largest measure, its graph and the least slack to
-a bound, with every failed check counted. numpy is imported by scan_graphs,
-not at load, so the command line can import this module and load none."""
+a bound, with every failed check counted. A bipartite graph's measure is
+exactly 0.0, by the rule certify applies, so below k = 100 it needs no
+spectrum. numpy is imported by scan_graphs, not at load, so the command line
+can import this module and load none."""
 
 from __future__ import annotations
 
@@ -86,11 +88,11 @@ def scan_graphs(
     items: LabeledGraphs | Iterable[tuple[int, bytes] | Graph6ParseError], k: int
 ) -> ScanSummary:
     """One pass over the input in chunks of graphs with a common n: gate each
-    chunk on odd girth >= k, take the spectra of the graphs that pass with
-    one stacked eigensolver call, and fold their measures into the row for
-    their n; count parse errors as malformed. No report is kept, and no graph
-    beyond one chunk's worth per n. A graph without vertices raises
-    ValueError.
+    chunk on odd girth >= k, tell which of the graphs that pass are
+    bipartite, take the spectra they need with one stacked eigensolver call,
+    and fold their measures into the row for their n; count parse errors as
+    malformed. No report is kept, and no graph beyond one chunk's worth per
+    n. A graph without vertices raises ValueError.
 
     Every chunk is a uint8 array of edge bit rows. LabeledGraphs gives them
     as ranges of masks, a mask's bits being its row. Other input is (n, bits)
@@ -99,10 +101,12 @@ def scan_graphs(
     graphs in input order and in full chunks. What stays buffered is at most
     one partial chunk per n, each about CHUNK_ENTRIES/2 bytes of bits: about
     0.5 MB over every n <= 62, however long the input. A Graph is built only
-    for a row's winner, which is certified. Below k = 100 every bound is a
-    constant and the fold needs only the measures; from k = 100 each graph's
-    bounds and proof chains come from bounds.assess on its two extreme
-    eigenvalues and its edge count, the same rule certify applies.
+    for a row's winner, which is certified. A bipartite graph's two ends are
+    made exactly opposite by bounds.spectrum_ends, as in certify. Below
+    k = 100 every bound is a constant and the fold needs only the measures,
+    0.0 for a bipartite graph without an eigensolver call; from k = 100 each
+    graph is solved, and its bounds and proof chains come from bounds.assess
+    on its two ends and its edge count, the same rule certify applies.
     """
     import numpy as np
 
@@ -120,18 +124,27 @@ def scan_graphs(
         keep = np.flatnonzero(kernel.odd_walk_free(adj, k))
         if not len(keep):
             return
-        vals = kernel.eigvalsh(adj[keep])
-        lam1, lamn = vals[:, -1], vals[:, 0]
-        measures = (lam1 + lamn) / n  # as Spectrum.measure: bit for bit certify's
+        adj, bits = adj[keep], bits[keep]
+        # Odd girth >= k > n already means bipartite: no odd cycle fits in n vertices.
+        bipartite = np.ones(len(adj), bool) if k > n else kernel.bipartite(adj)
         if k < 100:
+            measures = np.zeros(len(adj))  # 0.0 where bipartite, as bounds.spectrum_ends
+            odd = ~bipartite
+            if odd.any():
+                vals = kernel.eigvalsh(adj[odd])
+                measures[odd] = (vals[:, -1] + vals[:, 0]) / n  # bit for bit certify's
             slacks = None if tightest is None else tightest - measures
             violations = bounds.count_violations(measures, consts)
         else:
-            edges = bits[keep].sum(axis=1).tolist()
-            judged = [bounds.assess(k, n, *g) for g in zip(edges, lam1.tolist(), lamn.tolist())]
+            vals = kernel.eigvalsh(adj)
+            tops, bottoms = vals[:, -1].tolist(), vals[:, 0].tolist()
+            ends = list(map(bounds.spectrum_ends, bipartite.tolist(), tops, bottoms))
+            measures = np.array([(lam1 + lamn) / n for lam1, lamn in ends])
+            edges = bits.sum(axis=1).tolist()
+            judged = [bounds.assess(k, n, m, *e) for m, e in zip(edges, ends)]
             slacks = np.array([bounds.tightest(found).slack for found, _, _ in judged])
             violations = sum(not bounds.passes(found, chains) for found, _, chains in judged)
-        rows.setdefault(n, _RowFold()).add(measures, slacks, violations, bits[keep])
+        rows.setdefault(n, _RowFold()).add(measures, slacks, violations, bits)
 
     scanned = malformed = 0
     if isinstance(items, LabeledGraphs):

@@ -1,8 +1,11 @@
 """The numpy kernel: graphs with a common vertex count as (B, n, n) adjacency
-stacks, an odd-girth gate by boolean matrix powers, and the package's one
+stacks, an odd-girth gate by boolean matrix powers, which at the least odd
+girth above n also tells the bipartite graphs, and the package's one
 eigensolver call, which the scan runs on chunks and spectral.eigenvalues on
 a stack of one, so the two extreme eigenvalues the scan reads, and the
-measures and bounds it takes from them, equal certify's bit for bit.
+measures and bounds it takes from them, equal certify's bit for bit. A
+bipartite graph's measure is 0.0 by bounds.spectrum_ends, so below k = 100
+the scan gives it no eigensolver call.
 
 Nothing imports this module at load, so numpy is loaded by the commands
 that run LAPACK and by no other.
@@ -70,6 +73,13 @@ def odd_walk_free(adj: np.ndarray, k: int) -> np.ndarray:
     if reach is None:  # k = 3: a simple graph has no loop
         return np.ones(len(adj), bool)
     return ~(reach * adj).any(axis=(1, 2))
+
+
+def bipartite(adj: np.ndarray) -> np.ndarray:
+    """For each matrix of the (B, n, n) 0/1 stack, n >= 1, whether its graph
+    is bipartite: an odd cycle has at most n vertices, so whether its odd
+    girth is at least (n + 1) | 1, the least odd number above n."""
+    return odd_walk_free(adj, (adj.shape[1] + 1) | 1)
 
 
 def eigvalsh(adj: np.ndarray) -> np.ndarray:

@@ -69,7 +69,7 @@ class Spectrum:
 
     @property
     def measure(self) -> float:
-        """(lambda1 + lambda_n) / n; zero exactly for connected bipartite graphs."""
+        """(lambda1 + lambda_n) / n; zero for bipartite graphs up to rounding."""
         return (self.lambda1 + self.lambda_n) / self.n
 
 

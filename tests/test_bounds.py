@@ -25,9 +25,11 @@ from oddspectrum import (
     high_lambda1_bound,
     main_bound,
     odd_girth,
+    odd_poly,
+    parse_graph6,
     petersen_graph,
 )
-from oddspectrum.bounds import CSV_HEADER
+from oddspectrum.bounds import CSV_HEADER, spectrum_ends
 from util import random_graph, trace_powers
 
 
@@ -143,6 +145,31 @@ def test_certify_bipartite_at_high_k():
     assert abs(report.measure) < 1e-9
     assert report.case == 2
     assert [c.description for c in report.chain_checks] == BROAD_SPECTRUM_CHAINS_K101
+
+
+def test_spectrum_ends_are_exactly_opposite_when_bipartite():
+    assert spectrum_ends(False, 2.5, -2.0) == (2.5, -2.0)
+    assert spectrum_ends(True, 2.5, -2.0) == (2.25, -2.25)
+    lam1, lamn = spectrum_ends(True, 0.0, 0.0)  # edgeless: 0.0 twice, no -0.0
+    assert repr(lam1) == repr(lamn) == "0.0"
+
+
+def test_certify_bipartite_skips_the_chebyshev_recurrence(monkeypatch):
+    # The eigensolver's float r of this graph is below 1, where T_(k-4) of it
+    # is k - 4 recurrence steps; its exactly opposite ends make r = 1.0.
+    calls = []
+    recurrence = odd_poly.chebyshev_T_recurrence
+
+    def spy(j, x):
+        calls.append((j, x))
+        return recurrence(j, x)
+
+    monkeypatch.setattr(odd_poly, "chebyshev_T_recurrence", spy)
+    odd_poly.chebyshev_T(3, 0.5)
+    assert calls == [(3, 0.5)]  # the spy sees chebyshev_T's calls
+    report = certify(parse_graph6("J??EWZ{aD_?"), 10**7 + 1)
+    assert calls == [(3, 0.5)]
+    assert report.passed and report.measure == 0.0 and report.lambda_n == -report.lambda1
 
 
 def test_certify_case_three():

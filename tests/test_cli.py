@@ -1,6 +1,7 @@
 """CLI behavior: commands, formats, exit codes, and scan determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,14 +10,16 @@ from pathlib import Path
 import pytest
 
 from oddspectrum import (
+    CertificateReport,
     Graph,
     Graph6ParseError,
     LabeledGraphs,
+    bounds,
     complete_bipartite,
     cycle_graph,
     encode_graph6,
 )
-from oddspectrum.cli import main
+from oddspectrum.cli import _render_report_text, main
 from oddspectrum.scan import scan_graphs
 from util import rows
 
@@ -119,12 +122,28 @@ def test_parse_error_offsets_count_bytes(tmp_path, capsys):
     assert "line 1: non-ASCII byte in graph6 input (byte offset 3)" in err
 
 
-def test_analyze_chain_past_the_float_range(capsys):
-    # A bipartite graph whose float lambda1/|lambda_n| is just above 1, so
-    # T_(k-4) of it overflows; the chain line is printed, not a traceback.
-    code, out, _ = run_cli(capsys, "analyze", "O????AXyCUGouor?EGAq?", "--k", "40000000001")
-    assert code in (0, 1)
+def test_analyze_chain_past_the_float_range():
+    # Ends whose ratio lambda1/|lambda_n| is just above 1, so T_(k-4) of it
+    # overflows; the chain line is printed, not a traceback. A bipartite
+    # graph's ends are exactly opposite, so analyze no longer reaches them.
+    k, n, m, lam1 = 40000000001, 16, 32, 4.4
+    lamn = -math.nextafter(lam1, 0.0)
+    found, case, chains = bounds.assess(k, n, m, lam1, lamn)
+    report = CertificateReport(
+        graph_id="<synthetic>", n=n, odd_girth=k, k=k, lambda1=lam1,
+        lambda_n=lamn, measure=(lam1 + lamn) / n, case=case, trivial=False,
+        bounds=tuple(found), chain_checks=tuple(chains),
+    )
+    out = _render_report_text(report)
     assert "chain lambda1^2 * T_39999999997(lambda1/|lambda_n|) <= n*lambda1: inf <= " in out
+
+
+def test_analyze_known_bipartite_graph_passes_at_k40000001(capsys):
+    # Its eigensolver's lambda1/|lambda_n| is 1 + 1.6e-15, which T_39999997
+    # once amplified past n * lambda1; the exactly opposite ends give r = 1.
+    code, out, _ = run_cli(capsys, "analyze", "O????AXyCUGouor?EGAq?", "--k", "40000001")
+    assert code == 0
+    assert "measure=0\n" in out and "result: PASS" in out
 
 
 def test_unreadable_file_exits_2(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,15 @@ before the k >= 100 scan stopped certifying every qualifying graph, which had
 to keep their bytes. bounds_csv.out and bounds_json.out were regenerated when
 cycle_lower_bound moved to (4/k) sin^2(pi/(2k)): 148 of their 150 rows
 changed in the last digits of cycle_lower_bound and ratio only, while
-bounds_text.out, which prints 10 digits, kept its bytes.
+bounds_text.out, which prints 10 digits, kept its bytes. Nine were
+regenerated after 689a1803 when a bipartite graph's spectrum ends were made
+exactly opposite (lambda_n = 0.0 - lambda1, lambda1 the half-width of the
+solved spectrum) and its measure exactly 0.0: analyze_bipartite_k101_json,
+analyze_file_k101_{text,csv}, analyze_mixed_k5_csv,
+scan_enum5_k101_{text,csv,json}, scan_file_k5_text and scan_mixed_jobs4_csv.
+Only their bipartite graphs' lambda1, lambda_n, measure, the bounds and
+slacks taken from these, and the chain values moved, and on all-bipartite
+rows the argmax, tightest bound and min_slack; the B? row kept its bytes.
 If a numpy or BLAS change moves the last digits, regenerate them from that
 parent commit, never from the change under test: copy this file and the .g6
 inputs under tests/golden/ into a checkout of the parent and run
@@ -58,7 +66,7 @@ COMMANDS = {
     "analyze_c5_text": ["analyze", "Dhc", "--k", "5"],
     "analyze_petersen_json": ["analyze", "IheA@GUAo", "--k", "5", "--format", "json"],
     # Random bipartite graph on 12 vertices; the JSON carries the two
-    # broad-spectrum chain values, r - 1 ~ -6.7e-16 among them, with full repr
+    # broad-spectrum chain values, r - 1 = 0.0 among them, with full repr
     # precision.
     "analyze_bipartite_k101_json": ["analyze", "K??FSxg|AWY_", "--k", "101", "--format", "json"],
     "analyze_mixed_k5_csv": ["analyze", MIXED, "--k", "5", "--format", "csv"],

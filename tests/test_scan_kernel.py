@@ -75,7 +75,7 @@ def test_enumeration_matches_per_graph_scan(n, k):
     assert scan_graphs(LabeledGraphs(n), k) == enumeration_oracle(n, k)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_enumeration_matches_per_graph_scan_at_k101(n):
     # The fold's bounds and chains from each graph's two extreme eigenvalues
     # against one certify() per graph.
@@ -111,8 +111,10 @@ def test_mixed_graph6_matches_per_graph_scan(monkeypatch, k, chunk_entries):
 
 def test_file_chunks_fill_per_vertex_count(monkeypatch, tmp_path, capsys):
     # Graphs on 4, 5 and 6 vertices, interleaved. Each n fills chunks of its
-    # own, so the stacked eigensolver runs once per full chunk of each n, once
-    # per n on the remainder, and once per row on its winner's certificate.
+    # own, so the kernel builds one adjacency stack per full chunk of each n
+    # and one per n on the remainder. (The eigensolver sees only the chunks'
+    # graphs that are not bipartite, and the winners' certificates build
+    # their stacks of one from a Graph.)
     monkeypatch.setattr(scan_kernel, "CHUNK_ENTRIES", 100)
     counts = {4: 13, 5: 9, 6: 7}
     rng = random.Random(11)
@@ -121,18 +123,18 @@ def test_file_chunks_fill_per_vertex_count(monkeypatch, tmp_path, capsys):
     path = tmp_path / "interleaved.g6"
     path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
     stacks = []
-    eigvalsh = scan_kernel.eigvalsh
+    bits_adjacency = scan_kernel.bits_adjacency
 
-    def spy(adj):
-        stacks.append(len(adj))
-        return eigvalsh(adj)
+    def spy(n, bits):
+        stacks.append(len(bits))
+        return bits_adjacency(n, bits)
 
-    monkeypatch.setattr(scan_kernel, "eigvalsh", spy)
+    monkeypatch.setattr(scan_kernel, "bits_adjacency", spy)
     main(["scan", str(path), "--k", "3"])  # at k = 3 every graph qualifies
     assert "qualifying=29 " in capsys.readouterr().out
     sizes = {n: scan_kernel.chunk_size(n) for n in counts}
-    assert len(stacks) == sum(math.ceil(counts[n] / sizes[n]) for n in counts) + len(counts)
-    want = [1] * len(counts)  # the winners
+    assert len(stacks) == sum(math.ceil(counts[n] / sizes[n]) for n in counts)
+    want = []
     for n, count in counts.items():
         want += [sizes[n]] * (count // sizes[n]) + [count % sizes[n]] * (count % sizes[n] > 0)
     assert sorted(stacks) == sorted(want)
@@ -145,14 +147,50 @@ def test_library_graphs_past_graph6_sizes_match_per_graph_scan():
         assert scan_graphs(iter(rows(graphs)), k) == per_graph_scan(rows(graphs), k)
 
 
-def test_known_graph_fails_its_chain_at_k40000001():
-    # The float r = lambda1/|lambda_n| of this bipartite graph is 1 + 1.6e-15,
-    # and T_39999997 amplifies that past n * lambda1. No other k >= 100 scan in
-    # the suite counts a violation.
+def test_known_graph_passes_its_chain_at_k40000001():
+    # The eigensolver's float r = lambda1/|lambda_n| of this bipartite graph
+    # is 1 + 1.6e-15, which T_39999997 would amplify past n * lambda1. Its
+    # two ends are made exactly opposite, so r is 1.0 and the chain holds.
     items = [item for _, item in read_graph6_lines(["O????AXyCUGouor?EGAq?", "Dhc"])]
     summary = scan_graphs(iter(items), 40000001)
-    assert summary.violations == 1
+    assert summary.violations == 0
+    assert summary.rows[0].max_measure == 0.0
     assert summary == per_graph_scan(items, 40000001)
+
+
+def flag_graphs():
+    """Graphs by vertex count: every labeled graph on n <= 6; seeded random
+    graphs, random bipartite graphs and cycles on 7 to 62 vertices; C101,
+    K10,10 + C101 and C100, past graph6's sizes."""
+    rng = random.Random(2026)
+    by_n = {n: list(LabeledGraphs(n)) for n in range(1, 7)}
+    for n in range(7, 63, 5):
+        graphs = [random_graph(rng, n, p) for p in (0.02, 0.05, 0.1, 0.3)]
+        for a in (1, n // 3, n // 2):
+            whole = complete_bipartite(a, n - a)
+            graphs.append(Graph(n, [e for e in whole.edges if rng.random() < 0.3]))
+        by_n[n] = graphs + [cycle_graph(n)]
+    k10_10 = complete_bipartite(10, 10).edges
+    c101 = [(20 + u, 20 + v) for u, v in cycle_graph(101).edges]
+    by_n[121] = [Graph(121, k10_10 + tuple(c101))]
+    by_n[101], by_n[100] = [cycle_graph(101)], [cycle_graph(100)]
+    return by_n
+
+
+def test_bipartite_flag_is_infinite_odd_girth():
+    flags = []
+    for n, graphs in flag_graphs().items():
+        got = scan_kernel.bipartite(stack(graphs)).tolist()
+        assert got == [math.isinf(odd_girth(g)) for g in graphs], n
+        flags += got
+    assert 0 < sum(flags) < len(flags)
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 101])
+def test_scan_matches_per_graph_scan_on_the_flag_graphs(k):
+    # Every labeled graph on n <= 6 is checked against its oracle above.
+    graphs = [g for n, graphs in flag_graphs().items() if n > 6 for g in graphs]
+    assert scan_graphs(iter(rows(graphs)), k) == per_graph_scan(rows(graphs), k)
 
 
 def test_scan_at_k101_certifies_only_row_winners(monkeypatch, capsys):
@@ -201,11 +239,13 @@ def test_measures_bit_identical_to_eigenvalues():
 
 def test_measure_mismatch_counts_as_violation(monkeypatch, capsys):
     # The winner's certificate must reproduce the kernel's measure bit for bit.
+    # At k = 101 every winner on n <= 62 vertices is bipartite, measure 0.0 on
+    # both sides whatever the spectrum, so C101 stands for the k >= 100 case.
     monkeypatch.setattr(
         bounds, "eigenvalues", lambda g: Spectrum([v + 2.0**-40 for v in eigenvalues(g).values])
     )
     assert scan_graphs(LabeledGraphs(5), 5).violations == 1
-    assert scan_graphs(LabeledGraphs(5), 101).violations == 1
+    assert scan_graphs(rows([cycle_graph(101)]), 101).violations == 1
     assert main(["scan", "--enumerate", "5", "--k", "5"]) == 1
     assert "violations=1" in capsys.readouterr().out
 
