@@ -94,8 +94,12 @@ def scan_graphs(
     malformed. No report is kept, and no graph beyond one chunk's worth per
     n. A graph without vertices raises ValueError.
 
-    Every chunk is a uint8 array of edge bit rows. LabeledGraphs gives them
-    as ranges of masks, a mask's bits being its row. Other input is (n, bits)
+    Every chunk is a uint8 array of edge bit rows. For LabeledGraphs,
+    scan_kernel.odd_girth_masks builds only the masks of the graphs of odd
+    girth >= k, one vertex at a time, in ascending blocks; each block is cut
+    into chunks, a mask's bits being its row, and scanned still counts every
+    labeled graph. The gate runs on these chunks too, as an independent
+    check, so both kinds of input pass the same gate. Other input is (n, bits)
     rows, as decode_graph6 gives them, buffered per n; n's buffer is flushed
     as one chunk once it holds chunk_size(n) graphs, so each row sees its
     graphs in input order and in full chunks. What stays buffered is at most
@@ -149,10 +153,9 @@ def scan_graphs(
     scanned = malformed = 0
     if isinstance(items, LabeledGraphs):
         n, size = items.n, kernel.chunk_size(items.n)
-        shifts = np.arange(n * (n - 1) // 2)
-        for start in range(0, len(items), size):
-            masks = np.arange(start, min(start + size, len(items)))
-            fold_chunk(n, (masks[:, None] >> shifts & 1).astype(np.uint8))
+        for block in kernel.odd_girth_masks(n, k):
+            for start in range(0, len(block), size):
+                fold_chunk(n, kernel.mask_bits(n, block[start:start + size]))
         scanned = len(items)
     else:
         buffers: dict[int, list[bytes]] = {}

@@ -82,11 +82,15 @@ def test_enumeration_matches_per_graph_scan_at_k101(n):
     assert scan_graphs(LabeledGraphs(n), 101) == enumeration_oracle(n, 101)
 
 
-@pytest.mark.parametrize("per_chunk", [1, 3])
-@pytest.mark.parametrize("k", [3, 5, 7])
+@pytest.mark.parametrize("per_chunk", [1, 3, 40])
+@pytest.mark.parametrize("k", [3, 5, 7, 101])
 @pytest.mark.parametrize("n", range(1, 6))
 def test_enumeration_chunk_boundaries(monkeypatch, n, k, per_chunk):
     # per_chunk graphs in each chunk, read as masks and as (n, bits) rows.
+    # The enumeration's chunks end at the end of each block of masks that
+    # share the last vertex's neighbourhood, and also within a block that
+    # outgrows a chunk: at n = 5, per_chunk = 40 splits only the blocks of
+    # the 41 graphs on 4 vertices without a triangle, at k = 5.
     monkeypatch.setattr(scan_kernel, "CHUNK_ENTRIES", per_chunk * n * n)
     assert scan_kernel.chunk_size(n) == per_chunk
     assert scan_graphs(LabeledGraphs(n), k) == enumeration_oracle(n, k)
@@ -205,18 +209,19 @@ def test_scan_at_k101_certifies_only_row_winners(monkeypatch, capsys):
             return real(*args)
 
         monkeypatch.setattr(bounds, name, spy)
-    stacks = []
+    # The fold's chunks are float32 stacks, a certificate's a float64 one.
+    stacks = {np.float32: [], np.float64: []}
     eigvalsh = scan_kernel.eigvalsh
 
     def stacked(adj):
-        stacks.append(len(adj))
+        stacks[adj.dtype.type].append(len(adj))
         return eigvalsh(adj)
 
     monkeypatch.setattr(scan_kernel, "eigvalsh", stacked)
     assert main(["scan", "--enumerate", "5", "--k", "101"]) == 0
     assert "count=376 " in capsys.readouterr().out
     assert calls == {"certify": 1, "odd_girth": 1, "encode_graph6": 1}
-    assert stacks.count(1) == 1 and sum(stacks) == 376 + 1
+    assert sum(stacks[np.float32]) == 376 and stacks[np.float64] == [1]
 
 
 def test_enumeration_masks_build_the_enumerated_graphs():
@@ -225,7 +230,38 @@ def test_enumeration_masks_build_the_enumerated_graphs():
     for n in range(6):
         graphs = LabeledGraphs(n)
         bits = np.arange(len(graphs))[:, None] >> np.arange(n * (n - 1) // 2) & 1
+        assert (scan_kernel.mask_bits(n, np.arange(len(graphs))) == bits).all()
         assert (scan_kernel.bits_adjacency(n, bits.astype(np.uint8)) == stack(graphs)).all()
+
+
+@functools.cache
+def gated_masks(n, k):
+    """The masks on n vertices that odd_walk_free passes, ascending: the gate
+    run on every mask, 2^14 at a time."""
+    masks = np.arange(1 << n * (n - 1) // 2)
+    kept = []
+    for start in range(0, len(masks), 1 << 14):
+        chunk = masks[start:start + (1 << 14)]
+        adj = scan_kernel.bits_adjacency(n, scan_kernel.mask_bits(n, chunk))
+        kept.append(chunk[scan_kernel.odd_walk_free(adj, k)])
+    return np.concatenate(kept).tolist()
+
+
+# The labeled triangle-free graphs on 0 to 7 vertices.
+TRIANGLE_FREE = [1, 1, 2, 7, 41, 388, 5789, 133501]
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in range(7) for k in (3, 5, 7, 9, 101)] + [(7, 5), (7, 7)]
+)
+def test_odd_girth_masks_are_the_gated_masks(n, k):
+    blocks = list(scan_kernel.odd_girth_masks(n, k))
+    masks = np.concatenate(blocks).tolist()
+    assert masks == gated_masks(n, k)  # ascending, as the fold needs
+    if k == 5:
+        assert len(masks) == TRIANGLE_FREE[n]
+    # Only the survivors on n - 1 vertices are held while the blocks stream.
+    assert max(map(len, blocks)) <= len(gated_masks(max(n - 1, 0), k))
 
 
 def test_measures_bit_identical_to_eigenvalues():

@@ -64,6 +64,26 @@ def test_eigenvalues_large_cycle_and_blow_up_closed_form():
     assert max(abs(a - b) for a, b in zip(blown, expected)) < 1e-9
 
 
+def cycle_spectrum(n):
+    return [2.0 * math.cos(2.0 * math.pi * j / n) for j in range(n)]
+
+
+@pytest.mark.parametrize(
+    "graph, spectrum",
+    [(cycle_graph(n), cycle_spectrum(n)) for n in (3, 5, 101, 401, 801)]
+    + [
+        (complete_bipartite(7, 9), [math.sqrt(63), -math.sqrt(63)] + [0.0] * 14),
+        (petersen_graph(), list(PETERSEN_SPECTRUM)),
+    ],
+    ids=["C3", "C5", "C101", "C401", "C801", "K7,9", "Petersen"],
+)
+def test_eigenvalues_within_1e9_of_closed_form(graph, spectrum):
+    # The accuracy eigenvalues() promises, on every eigenvalue.
+    got = eigenvalues(graph).values
+    assert len(got) == graph.n
+    assert max(abs(a - b) for a, b in zip(got, sorted(spectrum, reverse=True))) < 1e-9
+
+
 def test_eigenvalues_degenerate_graphs():
     assert eigenvalues(Graph(0)).values == ()
     s = eigenvalues(Graph(4))
