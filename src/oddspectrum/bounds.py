@@ -18,7 +18,6 @@ from typing import Sequence
 from .errors import GirthViolationError, HypothesisError, require_odd_k
 from .graph_core import MAX_GRAPH6_VERTICES, Graph, encode_graph6, odd_girth
 from .odd_poly import chebyshev_T
-from .spectral import eigenvalues
 
 # Relative slop for "measure <= bound" style comparisons.
 COMPARISON_RTOL = 1e-12
@@ -219,28 +218,6 @@ def _inapplicable(description: str, relation: str = "<=") -> ChainCheck:
     )
 
 
-def _odd_trace_chain(g: Graph, k: int) -> ChainCheck:
-    """Tr(A^j) = 0 for every odd j <= k-2, decided by the scan kernel's
-    boolean-power gate. An odd trace never decreases from j to j+2 (going out
-    and back along an edge extends each closed walk), so the largest is
-    Tr(A^(k-2)), counted in exact integers only when the gate fails."""
-    import numpy as np  # here, so that importing bounds loads no numpy
-
-    from . import scan_kernel
-
-    adj = scan_kernel.graph_adjacency(g)
-    worst = 0
-    if not scan_kernel.odd_walk_free(adj, k)[0]:
-        worst = np.linalg.matrix_power(adj[0].astype(int).astype(object), k - 2).trace()
-    return ChainCheck(
-        description=f"max |Tr(A^j)| over odd j <= {k - 2} (exact integers)",
-        left=float(worst),
-        relation="==",
-        right=0.0,
-        satisfied=worst == 0,
-    )
-
-
 def _broad_spectrum_chains(lam1: float, lamn: float, k: int, n: int) -> list[ChainCheck]:
     r = lam1 / abs(lamn)
     chains = []
@@ -306,12 +283,15 @@ def assess(
 def certify(g: Graph, k: int) -> CertificateReport:
     """Verify every applicable bound and proof-chain inequality for one graph.
 
-    Requires odd_girth(g) >= k; raises GirthViolationError (carrying the
-    actual shortest odd cycle length) otherwise. The report carries the
-    measure and what assess finds from the spectrum's two ends, made exactly
-    opposite by spectrum_ends when the odd girth is infinite; below k = 100
-    it adds the exact odd-trace identities.
+    Requires odd_girth(g) >= k, which is exactly Tr(A^j) = 0 for every odd
+    j <= k - 2; raises GirthViolationError (carrying the actual shortest odd
+    cycle length) otherwise. The report carries the measure and what assess
+    finds from the spectrum's two ends, read from scan_kernel.eigvalsh as
+    the scan reads them and made exactly opposite by spectrum_ends when the
+    odd girth is infinite.
     """
+    from . import scan_kernel  # here, so that importing bounds loads no numpy
+
     require_odd_k(k, 3)
     if g.n < 1:
         raise ValueError("certification needs at least one vertex")
@@ -320,11 +300,9 @@ def certify(g: Graph, k: int) -> CertificateReport:
         raise GirthViolationError(girth, k)
 
     graph_id = encode_graph6(g) if g.n <= MAX_GRAPH6_VERTICES else f"<n={g.n},m={g.m}>"
-    s = eigenvalues(g)
-    lam1, lamn = spectrum_ends(math.isinf(girth), s.lambda1, s.lambda_n)
+    vals = scan_kernel.eigvalsh(scan_kernel.graph_adjacency(g, float))[0]
+    lam1, lamn = spectrum_ends(math.isinf(girth), float(vals[-1]), float(vals[0]))
     bounds, case, chains = assess(k, g.n, g.m, lam1, lamn)
-    if k < 100:
-        chains.append(_odd_trace_chain(g, k))
     return CertificateReport(
         graph_id=graph_id,
         n=g.n,

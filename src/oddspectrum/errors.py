@@ -34,7 +34,12 @@ class ConvergenceError(RuntimeError):
     """An iterative numerical routine failed to converge."""
 
 
+# The largest k taken. Up to it every bound formula is a positive normal
+# float: the least, cycle_lower_bound(k) ~ pi^2/k^3, is about 1e-299 there.
+MAX_K = 10**100
+
+
 def require_odd_k(k: int, minimum: int, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` unless k is an odd integer >= minimum."""
-    if k < minimum or k % 2 == 0:
-        raise error(f"k must be an odd integer >= {minimum}, got {k}")
+    """Raise ``error`` unless k is an odd integer in [minimum, MAX_K]."""
+    if k < minimum or k > MAX_K or k % 2 == 0:
+        raise error(f"k must be an odd integer in [{minimum}, 10^100], got {k}")

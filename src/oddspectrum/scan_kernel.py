@@ -3,9 +3,9 @@ stacks, an odd-girth gate by boolean matrix powers, which at the least odd
 girth above n also tells the bipartite graphs, a generator of the labeled
 graphs of odd girth >= k built one vertex at a time by the same powers, and
 the package's one eigensolver call, which the scan runs on chunks and
-spectral.eigenvalues on a stack of one, so the two extreme eigenvalues the
-scan reads, and the measures and bounds it takes from them, equal certify's
-bit for bit. A bipartite graph's measure is 0.0 by bounds.spectrum_ends, so
+certify on a stack of one, so the two extreme eigenvalues the scan reads,
+and the measures and bounds it takes from them, equal certify's bit for
+bit. A bipartite graph's measure is 0.0 by bounds.spectrum_ends, so
 below k = 100 the scan gives it no eigensolver call.
 
 Nothing imports this module at load, so numpy is loaded by the commands

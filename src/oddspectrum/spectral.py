@@ -1,5 +1,8 @@
-"""Adjacency spectra and the bipartiteness measure. eigenvalues runs the
-eigensolver of scan_kernel, so this module loads no numpy of its own."""
+"""Adjacency spectra and the bipartiteness measure: Spectrum, the sorted
+sequence that gamma5 builds and checks, and eigenvalues, a graph's whole
+spectrum as one. eigenvalues runs the eigensolver of scan_kernel, so this
+module loads no numpy of its own; certify and the scan read only the two
+ends from that eigensolver and build no Spectrum."""
 
 from __future__ import annotations
 

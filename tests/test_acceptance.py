@@ -9,6 +9,7 @@ import random
 import time
 
 from oddspectrum import (
+    GirthViolationError,
     LabeledGraphs,
     blow_up,
     broad_spectrum_bound,
@@ -99,7 +100,12 @@ def test_criterion_03_exact_trace_identities():
         adj = graph_adjacency(g)
         ok = ok and bool(odd_walk_free(adj, k)[0])
         ok = ok and not odd_walk_free(adj, k + 2)[0]
-        ok = ok and certify(g, k).chain_checks[0].left == 0.0
+        ok = ok and certify(g, k).odd_girth == k
+        try:
+            certify(g, k + 2)
+            ok = False
+        except GirthViolationError:
+            pass
     _verdict(
         "criterion 03 exact odd-trace identities on C_k, k in [5, 15]",
         ok,

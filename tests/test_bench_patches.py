@@ -14,6 +14,7 @@ STALE = {
     ("oddspectrum.cli", "build_scan_summary"),
     ("oddspectrum.bounds", "high_lambda1_polynomial"),
     ("oddspectrum.odd_poly:FactoredOddPolynomial", "evaluate"),
+    ("oddspectrum.bounds", "eigenvalues"),
 }
 
 

@@ -106,6 +106,21 @@ def test_comparison_constants():
     assert gamma5_prime_value() < csikvari_bound()
 
 
+def test_both_constants_from_one_formula():
+    # One entry at the top, 1, and c at the bottom, -c^(-1/3), so that the
+    # cube sum vanishes: g(c) is (top + bottom) over the sum of squares.
+    # At the best integer c it is the k = 5 relaxation's value; at the best
+    # real c, (1 + sqrt 2)^3, it is Csikvari's bound.
+    def g(c):
+        return (1.0 - c ** (-1.0 / 3.0)) / (1.0 + c ** (1.0 / 3.0))
+
+    best = max(range(1, 1001), key=g)
+    assert (best, g(best)) == (14, gamma5_prime_value())
+    assert g(14) > g(15)
+    real = g((1.0 + math.sqrt(2.0)) ** 3)
+    assert abs(real - csikvari_bound()) <= 2e-15 * csikvari_bound()
+
+
 def test_cycle_bound_approaches_pi_squared():
     scaled = [cycle_lower_bound(k) * k**3 for k in (5, 51, 101, 201)]
     assert all(a < b for a, b in zip(scaled, scaled[1:]))
@@ -214,39 +229,42 @@ def test_certify_validation():
 
 
 def test_certify_small_k_has_trace_chain():
+    # Below k = 100 the girth gate is the whole odd-trace check: no chain.
     report = certify(cycle_graph(7), 7)
     assert report.case is None
-    assert len(report.chain_checks) == 1
-    chain = report.chain_checks[0]
-    assert "Tr" in chain.description
-    assert chain.satisfied and chain.left == 0.0
+    assert report.chain_checks == ()
+    assert report.passed
+
+
+def assert_gate_matches_traces(g, k):
+    """certify raises GirthViolationError exactly when some odd j <= k - 2
+    has Tr(A^j) != 0, counted in exact integers; returns the largest."""
+    worst = max(abs(t) for t in trace_powers(g, k - 2)[::2])
+    if worst:
+        with pytest.raises(GirthViolationError):
+            certify(g, k)
+    else:
+        assert certify(g, k).passed
+    return worst
 
 
 @pytest.mark.parametrize(
     ("g", "k", "left"),
-    [(cycle_graph(3), 5, 6.0), (cycle_graph(5), 7, 10.0), (petersen_graph(), 9, 1680.0)],
+    [(cycle_graph(3), 5, 6), (cycle_graph(5), 7, 10), (petersen_graph(), 9, 1680)],
     ids=["C3", "C5", "Petersen"],
 )
-def test_trace_chain_fails_when_the_girth_gate_lets_an_odd_cycle_through(
-    monkeypatch, g, k, left
-):
-    # Behind a girth gate that lies, the chain still finds the odd walks:
-    # left is Tr(A^(k-2)), the largest odd trace, and the report fails.
-    monkeypatch.setattr("oddspectrum.bounds.odd_girth", lambda g: 99)
-    report = certify(g, k)
-    (chain,) = report.chain_checks
-    assert (chain.left, chain.satisfied, report.passed) == (left, False, False)
+def test_trace_chain_fails_when_the_girth_gate_lets_an_odd_cycle_through(g, k, left):
+    # Each graph has an odd closed walk shorter than k, and certify refuses
+    # it: left is Tr(A^(k-2)), the largest odd trace.
+    assert assert_gate_matches_traces(g, k) == left
 
 
-def test_trace_chain_left_is_the_largest_odd_trace(monkeypatch):
-    monkeypatch.setattr("oddspectrum.bounds.odd_girth", lambda g: 99)
+def test_trace_chain_left_is_the_largest_odd_trace():
     rng = random.Random(29)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 8), p=0.5)
         for k in (3, 5, 7, 9):
-            (chain,) = certify(g, k).chain_checks
-            worst = max(abs(t) for t in trace_powers(g, k - 2)[::2])
-            assert (chain.left, chain.satisfied) == (float(worst), worst == 0)
+            assert_gate_matches_traces(g, k)
 
 
 def test_certify_never_violated_on_small_corpus():

@@ -20,6 +20,7 @@ from oddspectrum import (
     encode_graph6,
 )
 from oddspectrum.cli import _render_report_text, main
+from oddspectrum.errors import MAX_K
 from oddspectrum.scan import scan_graphs
 from util import rows
 
@@ -367,6 +368,25 @@ def test_bounds_past_a_billion(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--k-min", "1000000001", "--k-max", "1000000001")
     assert code == 0
     assert "lower=9.869604371e-27" in out  # mpmath: 9.8696043715e-27
+
+
+def test_k_up_to_the_limit_keeps_every_number_normal(capsys):
+    # The largest odd k taken is 10^100 - 1. There lower, upper and ratio are
+    # positive normal floats; past 10^100 bounds and analyze refuse k.
+    k = str(MAX_K - 1)
+    code, out, _ = run_cli(capsys, "bounds", "--k-min", k, "--k-max", k, "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)
+    values = [row["cycle_lower_bound"], row["main_bound"], row["ratio"]]
+    assert all(sys.float_info.min <= v < math.inf for v in values), values
+    code, out, _ = run_cli(capsys, "analyze", "A_", "--k", k, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["passed"]
+    k = str(MAX_K + 1)
+    for argv in (("bounds", "--k-min", "5", "--k-max", k), ("analyze", "A_", "--k", k)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: k must be an odd integer in [3, 10^100], got {k}\n"
 
 
 def test_bounds_validation(capsys):

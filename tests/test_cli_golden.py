@@ -30,6 +30,11 @@ rows the argmax, tightest bound and min_slack; the B? row kept its bytes.
 scan_enum7_k5_json.out was captured at 65f3820, before the enumeration built
 only the graphs of odd girth >= k one vertex at a time, which had to keep
 its bytes.
+When certify stopped re-deciding its girth gate as an odd-trace chain below
+k = 100 (after a67b8a2), analyze_c5_text.out lost its "chain max |Tr(A^j)|"
+line and analyze_petersen_json.out its one chain_checks entry, leaving
+"chain_checks": []. Both were cut by hand, not regenerated; every other
+byte is as before.
 If a numpy or BLAS change moves the last digits, regenerate them from that
 parent commit, never from the change under test: copy this file and the .g6
 inputs under tests/golden/ into a checkout of the parent and run

@@ -18,7 +18,6 @@ from oddspectrum import (
     ConvergenceError,
     Graph,
     LabeledGraphs,
-    Spectrum,
     blow_up,
     bounds,
     complete_bipartite,
@@ -265,20 +264,26 @@ def test_odd_girth_masks_are_the_gated_masks(n, k):
 
 
 def test_measures_bit_identical_to_eigenvalues():
-    graphs = list(LabeledGraphs(5))
+    # The scan's fold reads each graph's ends from a stacked eigvalsh call;
+    # certify, which the fold runs on each row's winner, reads them from a
+    # stack of one. On a graph that is not bipartite both keep them as solved.
+    graphs = [g for g in LabeledGraphs(6) if odd_girth(g) == 5]
     vals = scan_kernel.eigvalsh(stack(graphs))
-    spectra = [eigenvalues(g) for g in graphs]
-    assert vals[:, -1].tolist() == [s.lambda1 for s in spectra]
-    assert vals[:, 0].tolist() == [s.lambda_n for s in spectra]
-    assert ((vals[:, -1] + vals[:, 0]) / 5).tolist() == [s.measure for s in spectra]
+    reports = [bounds.certify(g, 5) for g in graphs]
+    assert [r.lambda1 for r in reports] == vals[:, -1].tolist()
+    assert [r.lambda_n for r in reports] == vals[:, 0].tolist()
+    assert [r.measure for r in reports] == ((vals[:, -1] + vals[:, 0]) / 6).tolist()
 
 
 def test_measure_mismatch_counts_as_violation(monkeypatch, capsys):
     # The winner's certificate must reproduce the kernel's measure bit for bit.
+    # Of the two, only certify builds its matrix with graph_adjacency, so a
+    # shift of that matrix's diagonal moves the certificate's ends alone.
     # At k = 101 every winner on n <= 62 vertices is bipartite, measure 0.0 on
     # both sides whatever the spectrum, so C101 stands for the k >= 100 case.
+    adjacency = scan_kernel.graph_adjacency
     monkeypatch.setattr(
-        bounds, "eigenvalues", lambda g: Spectrum([v + 2.0**-40 for v in eigenvalues(g).values])
+        scan_kernel, "graph_adjacency", lambda g, dtype: adjacency(g, dtype) + 2.0**-40 * np.eye(g.n)
     )
     assert scan_graphs(LabeledGraphs(5), 5).violations == 1
     assert scan_graphs(rows([cycle_graph(101)]), 101).violations == 1
