@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -255,7 +256,11 @@ def cmd_gamma5(args) -> int:
 # ------------------------------- main --------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused, so
+    a process that runs main many times builds it once. It names the command
+    and binds no function to it: main looks the function up when it runs."""
     parser = argparse.ArgumentParser(
         prog="oddspectrum",
         description=(
@@ -269,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="graph6 string or path to a graph6 file")
     p.add_argument("--k", type=int, required=True, help="odd girth level to certify at")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan", help="scan a corpus for measures and bound slack")
     p.add_argument("source", nargs="?", help="path to a graph6 file")
@@ -290,13 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility (must be >= 1); the scan runs in one thread",
     )
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("bounds", help="tabulate the bound formulas over odd k")
     p.add_argument("--k-min", type=int, required=True, dest="k_min")
     p.add_argument("--k-max", type=int, required=True, dest="k_max")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("gamma5", help="run the k = 5 relaxation experiment")
     p.add_argument("--eps", default="0.1,0.01,0.001", help="comma-separated epsilons")
@@ -315,15 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid samples per unit interval (>= 100); the search bisects each "
         "interval, so its cost grows with log(SAMPLES)",
     )
-    p.set_defaults(func=cmd_gamma5)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up on every call, so a command replaced on this module runs.
+    command = {
+        "analyze": cmd_analyze,
+        "scan": cmd_scan,
+        "bounds": cmd_bounds,
+        "gamma5": cmd_gamma5,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

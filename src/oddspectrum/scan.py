@@ -96,10 +96,11 @@ def scan_graphs(
 
     Every chunk is a uint8 array of edge bit rows. For LabeledGraphs,
     scan_kernel.odd_girth_masks builds only the masks of the graphs of odd
-    girth >= k, one vertex at a time, in ascending blocks; each block is cut
-    into chunks, a mask's bits being its row, and scanned still counts every
-    labeled graph. The gate runs on these chunks too, as an independent
-    check, so both kinds of input pass the same gate. Other input is (n, bits)
+    girth >= k, one vertex at a time, in ascending pieces no longer than a
+    chunk; scan_kernel.full_chunks packs them into full chunks, a mask's bits
+    being its row, and scanned still counts every labeled graph. The gate
+    runs on these chunks too, as an independent check, so both kinds of input
+    pass the same gate. Other input is (n, bits)
     rows, as decode_graph6 gives them, buffered per n; n's buffer is flushed
     as one chunk once it holds chunk_size(n) graphs, so each row sees its
     graphs in input order and in full chunks. What stays buffered is at most
@@ -153,9 +154,8 @@ def scan_graphs(
     scanned = malformed = 0
     if isinstance(items, LabeledGraphs):
         n, size = items.n, kernel.chunk_size(items.n)
-        for block in kernel.odd_girth_masks(n, k):
-            for start in range(0, len(block), size):
-                fold_chunk(n, kernel.mask_bits(n, block[start:start + size]))
+        for masks in kernel.full_chunks(kernel.odd_girth_masks(n, k), size):
+            fold_chunk(n, kernel.mask_bits(n, masks))
         scanned = len(items)
     else:
         buffers: dict[int, list[bytes]] = {}

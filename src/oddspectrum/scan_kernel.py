@@ -14,7 +14,7 @@ that run LAPACK and by no other.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -112,8 +112,9 @@ def eigvalsh(adj: np.ndarray) -> np.ndarray:
 
 def odd_girth_masks(n: int, k: int) -> Iterator[np.ndarray]:
     """The int32 edge masks of the labeled graphs on n vertices with odd girth
-    >= k, ascending, in blocks: those on n <= 1 vertices as the one block [0],
-    the others as one block per neighbourhood N of vertex n - 1, N ascending.
+    >= k, ascending, in pieces of at most chunk_size(n) masks: those on
+    n <= 1 vertices as the one piece [0], the others by neighbourhood N of
+    vertex n - 1, N ascending, each N's masks in one or more pieces.
 
     A graph on m + 1 vertices is a graph H on its first m vertices plus vertex
     m with neighbourhood N, and its mask is H | N << m(m-1)/2, so N ascending
@@ -129,7 +130,8 @@ def odd_girth_masks(n: int, k: int) -> Iterator[np.ndarray]:
 
     So the survivors are built one vertex at a time, and each level but the
     last is held whole. While the last level streams, what is held is the
-    survivors on n - 1 vertices and the block in hand, no longer than they.
+    survivors on n - 1 vertices and the piece in hand: each piece comes from
+    a run of at most chunk_size(n) graphs H, so it is no longer than a chunk.
     """
     require_odd_k(k, 3)
     masks = np.zeros(1, np.int32)  # n <= 8 in an enumeration: 28 edge bits at most
@@ -142,25 +144,46 @@ def odd_girth_masks(n: int, k: int) -> Iterator[np.ndarray]:
 
 
 def _extensions(masks: np.ndarray, m: int, k: int) -> Iterator[np.ndarray]:
-    """The blocks of odd_girth_masks on m + 1 vertices, from the ascending
+    """The pieces of odd_girth_masks on m + 1 vertices, from the ascending
     masks of those on m vertices."""
-    shift = m * (m - 1) // 2
+    shift, size = m * (m - 1) // 2, chunk_size(m + 1)
+    runs = range(0, len(masks), size)
     if k == 3 or m == 1:  # every N passes: nothing is too short, or N has one vertex
         for hood in range(1 << m):
-            yield masks | hood << shift
+            for i in runs:
+                yield masks[i:i + size] | hood << shift
         return
     # Each graph's odd walks of length k - 4, and each N's pairs, as pair masks.
     u, v = _pairs(m)
     weights = 1 << np.arange(shift, dtype=masks.dtype)
     walks = masks  # at k = 5 the odd walks of length 1 are the edges
     if k > 5:
-        walks, size = np.empty_like(masks), chunk_size(m)
-        for i in range(0, len(masks), size):
-            adj = bits_adjacency(m, mask_bits(m, masks[i:i + size]))
-            walks[i:i + size] = (walk_power(adj, k - 4)[:, u, v] > 0) @ weights
+        walks, walk_size = np.empty_like(masks), chunk_size(m)
+        for i in range(0, len(masks), walk_size):
+            adj = bits_adjacency(m, mask_bits(m, masks[i:i + walk_size]))
+            walks[i:i + walk_size] = (walk_power(adj, k - 4)[:, u, v] > 0) @ weights
     hoods = np.arange(1 << m)[:, None]
     within = (hoods >> u & hoods >> v & 1) @ weights
     for hood, pairs in enumerate(within.tolist()):
-        kept = masks[(walks & pairs) == 0]
-        kept |= hood << shift
-        yield kept
+        for i in runs:
+            kept = masks[i:i + size][(walks[i:i + size] & pairs) == 0]
+            kept |= hood << shift
+            yield kept
+
+
+def full_chunks(pieces: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The arrays of pieces, each of at most size entries, laid end to end and
+    cut into chunks of exactly size entries, the last one shorter. A piece of
+    size entries that starts a chunk is that chunk, not a copy; pieces are
+    concatenated only where a chunk spans several."""
+    held, count = [], 0
+    for piece in pieces:
+        if count + len(piece) >= size:
+            cut = size - count
+            yield np.concatenate([*held, piece[:cut]]) if held else piece[:cut]
+            held, count, piece = [], 0, piece[cut:]
+        if len(piece):
+            held.append(piece)
+            count += len(piece)
+    if held:
+        yield np.concatenate(held)

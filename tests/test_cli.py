@@ -19,12 +19,14 @@ from oddspectrum import (
     cycle_graph,
     encode_graph6,
 )
-from oddspectrum.cli import _render_report_text, main
+from oddspectrum import cli
+from oddspectrum.cli import _render_report_text, build_parser, main
 from oddspectrum.errors import MAX_K
 from oddspectrum.scan import scan_graphs
 from util import rows
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -514,3 +516,40 @@ def test_gamma5_validation(capsys):
         code, out, _ = run_cli(capsys, "gamma5", *argv)
         assert code == 2
         assert out == ""
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # One parser serves every main() call in a process. After a usage error
+    # on a fresh one, each command still prints its golden bytes, and --help
+    # prints the same bytes twice.
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--enumerate", "5"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+    for name, argv in (
+        ("analyze_c5_text", ["analyze", "Dhc", "--k", "5"]),
+        ("scan_enum5_k5_json", ["scan", "--enumerate", "5", "--k", "5", "--format", "json"]),
+    ):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith("usage: oddspectrum ")
+    assert build_parser.cache_info().misses == 1
+
+
+def test_main_runs_the_command_the_module_holds_at_call_time(capsys, monkeypatch):
+    # A command replaced on the module after the parser is built is the one
+    # main runs, as when a tracer wraps cli.cmd_gamma5.
+    assert main(["bounds", "--k-min", "5", "--k-max", "5"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_gamma5", lambda args: seen.append(args.eps) or 7)
+    assert main(["gamma5", "--eps", "0.5"]) == 7
+    assert seen == ["0.5"]
+    assert capsys.readouterr().out == "k=    5  lower=0.07639320225  upper=n/a  ratio=n/a\n"

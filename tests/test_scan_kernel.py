@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -86,10 +87,10 @@ def test_enumeration_matches_per_graph_scan_at_k101(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_enumeration_chunk_boundaries(monkeypatch, n, k, per_chunk):
     # per_chunk graphs in each chunk, read as masks and as (n, bits) rows.
-    # The enumeration's chunks end at the end of each block of masks that
-    # share the last vertex's neighbourhood, and also within a block that
-    # outgrows a chunk: at n = 5, per_chunk = 40 splits only the blocks of
-    # the 41 graphs on 4 vertices without a triangle, at k = 5.
+    # The enumeration's chunks are full, whatever the last vertex's
+    # neighbourhood: one chunk may join the ends of several neighbourhoods'
+    # masks, and at n = 5, k = 5, per_chunk = 40 cuts each run of the 41
+    # graphs on 4 vertices without a triangle in two.
     monkeypatch.setattr(scan_kernel, "CHUNK_ENTRIES", per_chunk * n * n)
     assert scan_kernel.chunk_size(n) == per_chunk
     assert scan_graphs(LabeledGraphs(n), k) == enumeration_oracle(n, k)
@@ -141,6 +142,55 @@ def test_file_chunks_fill_per_vertex_count(monkeypatch, tmp_path, capsys):
     for n, count in counts.items():
         want += [sizes[n]] * (count // sizes[n]) + [count % sizes[n]] * (count % sizes[n] > 0)
     assert sorted(stacks) == sorted(want)
+
+
+@pytest.mark.parametrize("n, want", [(5, [388]), (6, [455] * 12 + [329])])
+def test_enumeration_hands_over_full_chunks(monkeypatch, n, want):
+    # The masks of odd girth >= 5 come in pieces by the last vertex's
+    # neighbourhood, 32 of them at n = 6; the kernel sees them packed into
+    # chunks of chunk_size(n) graphs, all full but the last.
+    stacks = []
+    bits_adjacency = scan_kernel.bits_adjacency
+
+    def spy(n, bits):
+        stacks.append(len(bits))
+        return bits_adjacency(n, bits)
+
+    monkeypatch.setattr(scan_kernel, "bits_adjacency", spy)
+    assert scan_graphs(LabeledGraphs(n), 5).qualifying == TRIANGLE_FREE[n]
+    assert stacks == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5).flatmap(lambda size: st.tuples(st.just(size), st.lists(st.integers(0, size)))))
+def test_full_chunks_lay_pieces_end_to_end(size_lengths):
+    size, lengths = size_lengths
+    ends = np.cumsum([0, *lengths])
+    pieces = [np.arange(a, b) for a, b in zip(ends, ends[1:])]
+    chunks = list(scan_kernel.full_chunks(pieces, size))
+    total = int(ends[-1])
+    assert list(map(len, chunks)) == [size] * (total // size) + [total % size] * (total % size > 0)
+    assert [x for chunk in chunks for x in chunk.tolist()] == list(range(total))
+    # A full piece that starts a chunk is handed over as it is, not copied.
+    for piece, a in zip(pieces, ends):
+        if len(piece) == size and a % size == 0:
+            assert np.shares_memory(chunks[a // size], piece)
+
+
+def test_odd_girth_masks_hold_one_level_and_one_piece():
+    # At k = 3 nothing is pruned, so the masks on 6 vertices are 2^15 int32,
+    # 128 KB, and every one of them goes to 64 neighbourhoods on vertex 6. The
+    # pieces come from runs of at most chunk_size(7) = 334 of them, 1.3 KB.
+    tracemalloc.start()
+    try:
+        masks = scan_kernel.odd_girth_masks(7, 3)
+        first = len(next(masks))
+        tracemalloc.reset_peak()
+        assert first + sum(map(len, masks)) == 1 << 21
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (128 + 16) * 1024
 
 
 def test_library_graphs_past_graph6_sizes_match_per_graph_scan():
